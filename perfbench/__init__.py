@@ -1,0 +1,5 @@
+"""Closed-loop benchmark of the doublezero package.
+
+``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>``
+runs one workload and prints its metrics; see ``perfbench/README.md``.
+"""
