@@ -65,7 +65,6 @@ from .dynamics import (
     trace_manifolds,
     trajectory,
 )
-from .elliptic import complete_K
 from .errors import (
     DegeneracyError,
     DegenerateL,
@@ -104,6 +103,7 @@ from .pendulum import (
     FAMILY_THETA0,
     PendulumParams,
     Theta0,
+    _half_period_ratio,
     calibrated_params,
     codim2_locus,
     example_theta_zero,
@@ -662,10 +662,6 @@ def experiment_jintegrals(*, grid: int = 20, rtol: float = 1e-9) -> dict:
         worst = max(abs(c1 - q1) / abs(q1), abs(c2 - q2) / abs(q2))
         checks.append(_check(f"{name} splitting constants vs quadrature", worst, rtol))
     return _report("jintegrals", {"grid": grid, "rtol": rtol}, checks)
-
-
-def _half_period_ratio(k: float) -> float:
-    return math.pi * complete_K(math.sqrt(max(0.0, 1.0 - k * k))) / complete_K(k)
 
 
 def _closed_subharmonic_amplitude(tag: FamilyTag, k: float, m: int, omega_hat: float) -> float:

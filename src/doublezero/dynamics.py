@@ -182,14 +182,15 @@ def pendulum_flow(
     )
 
 
-def _solve(flow: FlowSpec, state0, t0: float, t1: float, events=None, t_eval=None):
+def _solve(rhs, state0, t0: float, t1: float, abs_tol: float, rel_tol: float,
+           events=None, t_eval=None):
     sol = solve_ivp(
-        flow.rhs,
+        rhs,
         (t0, t1),
         np.asarray(state0, dtype=float),
         method="DOP853",
-        rtol=flow.rel_tol,
-        atol=flow.abs_tol,
+        rtol=rel_tol,
+        atol=abs_tol,
         events=events,
         t_eval=t_eval,
         dense_output=False,
@@ -214,7 +215,7 @@ def integrate(flow: FlowSpec, state0, t0: float, t1: float) -> np.ndarray:
         raise DomainError(f"need t1 >= t0, got [{t0}, {t1}]")
     if t1 == t0:
         return np.asarray(state0, dtype=float).copy()
-    return _solve(flow, state0, t0, t1).y[:, -1].copy()
+    return _solve(flow.rhs, state0, t0, t1, flow.abs_tol, flow.rel_tol).y[:, -1].copy()
 
 
 def trajectory(
@@ -230,7 +231,7 @@ def trajectory(
     if not (t1 > t0):
         raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
     ts = np.linspace(t0, t1, samples)
-    sol = _solve(flow, np.asarray(state0, dtype=float), t0, t1, t_eval=ts)
+    sol = _solve(flow.rhs, state0, t0, t1, flow.abs_tol, flow.rel_tol, t_eval=ts)
     return ts, sol.y.T.copy()
 
 
@@ -259,11 +260,7 @@ def _transition(
         return np.concatenate([flow.rhs(t, x), (jac @ phi).ravel()])
 
     y0 = np.concatenate([state, np.eye(n).ravel()])
-    aug = FlowSpec(
-        rhs=aug_rhs, jacobian=flow.jacobian, period=flow.period, dim=flow.dim,
-        abs_tol=flow.abs_tol, rel_tol=flow.rel_tol,
-    )
-    sol = _solve(aug, y0, t0, t1)
+    sol = _solve(aug_rhs, y0, t0, t1, flow.abs_tol, flow.rel_tol)
     yf = sol.y[:, -1]
     return yf[:n].copy(), yf[n:].reshape(n, n).copy()
 
@@ -312,9 +309,11 @@ def classify_multipliers(
 class PeriodicOrbitResult:
     """A located subharmonic orbit on the strobe section.
 
-    ``initial_state`` returns to itself under ``m`` strobe iterates within
-    the shooting tolerance ``residual``; ``multipliers`` are the eigenvalues
-    of the variational ``monodromy`` matrix.
+    ``initial_state`` returns to itself under ``m`` strobe iterates;
+    ``residual`` is the largest leg defect (max-norm) of the converged
+    shooting system, so it is always below the ``tol`` the solve was given.
+    ``monodromy`` is the product of the legs' variational transition
+    matrices at that iterate and ``multipliers`` are its eigenvalues.
     """
 
     initial_state: np.ndarray
@@ -345,13 +344,16 @@ def find_subharmonic(
     that many legs with the leg endpoints as extra unknowns.  Use it for
     strongly hyperbolic orbits, where single shooting amplifies guess error
     by the full-period multiplier and the first integration can escape.
+    The returned ``residual`` is the largest leg defect of the converged
+    system (for one leg, the full-period return defect), so
+    ``residual < tol``.
 
     Raises
     ------
     NewtonDivergence
-        After ``max_iter`` iterations without the residual (max-norm of the
-        return defect) dropping below ``tol``, or when the shooting system
-        becomes singular; the message reports the last residual.
+        After ``max_iter`` iterations without the residual dropping below
+        ``tol``, or when the shooting system becomes singular; the message
+        reports the last residual.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
@@ -359,12 +361,7 @@ def find_subharmonic(
         raise DomainError(f"segments must be >= 1, got {segments}")
     x = np.asarray(guess, dtype=float).copy()
     for stage in (*homotopy, flow):
-        if segments == 1:
-            x = _newton_orbit(stage, m, x, tol, max_iter)
-        else:
-            x = _newton_orbit_multishoot(stage, m, x, tol, max_iter, segments)
-    xf, mono = monodromy(flow, x, m)
-    residual = float(np.max(np.abs(xf - x)))
+        x, mono, residual = _newton_orbit(stage, m, x, tol, max_iter, segments)
     mults = tuple(complex(lam) for lam in np.linalg.eigvals(mono))
     return PeriodicOrbitResult(
         initial_state=x,
@@ -376,57 +373,7 @@ def find_subharmonic(
     )
 
 
-def _shooting_defect(flow: FlowSpec, m: int, x: np.ndarray) -> float:
-    try:
-        xf = integrate(flow, x, 0.0, m * flow.period)
-    except StepFailure:
-        return math.inf
-    return float(np.max(np.abs(xf - x)))
-
-
-def _newton_orbit(
-    flow: FlowSpec, m: int, guess: np.ndarray, tol: float, max_iter: int
-) -> np.ndarray:
-    x = guess.copy()
-    eye = np.eye(flow.dim)
-    residual = math.inf
-    for _ in range(max_iter):
-        try:
-            xf, mono = monodromy(flow, x, m)
-        except StepFailure as exc:
-            raise NewtonDivergence(
-                f"integration broke down during shooting (last residual "
-                f"{residual!r}): {exc}"
-            ) from exc
-        defect = xf - x
-        residual = float(np.max(np.abs(defect)))
-        if not math.isfinite(residual):
-            raise NewtonDivergence(f"shooting residual became non-finite ({residual!r})")
-        if residual < tol:
-            return x
-        try:
-            step = np.linalg.solve(mono - eye, -defect)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence(
-                f"singular shooting system (last residual {residual!r})"
-            ) from exc
-        # Backtracking damping: near-unit multipliers make (M - I) nearly
-        # singular and the full step can overshoot the basin; halve until
-        # the defect shrinks (the full step is kept whenever it works, so
-        # quadratic convergence near the root is untouched).
-        damping = 1.0
-        for _ in range(12):
-            trial = x + damping * step
-            if _shooting_defect(flow, m, trial) < residual:
-                break
-            damping *= 0.5
-        x = x + damping * step
-    raise NewtonDivergence(
-        f"no convergence after {max_iter} iterations (last residual {residual!r})"
-    )
-
-
-def _multishoot_defect(flow: FlowSpec, xs: np.ndarray, times: np.ndarray) -> float:
+def _shooting_defect(flow: FlowSpec, xs: np.ndarray, times: np.ndarray) -> float:
     worst = 0.0
     count = xs.shape[0]
     for j in range(count):
@@ -438,9 +385,14 @@ def _multishoot_defect(flow: FlowSpec, xs: np.ndarray, times: np.ndarray) -> flo
     return worst
 
 
-def _newton_orbit_multishoot(
+def _newton_orbit(
     flow: FlowSpec, m: int, guess: np.ndarray, tol: float, max_iter: int, segments: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Damped Newton on the ``segments``-leg shooting system.
+
+    Returns the converged state at time 0, the monodromy over ``m`` periods
+    (the product of the legs' transition matrices) and the residual.
+    """
     n = flow.dim
     count = int(segments)
     times = np.linspace(0.0, m * flow.period, count + 1)
@@ -459,14 +411,17 @@ def _newton_orbit_multishoot(
                 legs.append(phi)
         except StepFailure as exc:
             raise NewtonDivergence(
-                f"integration broke down during multiple shooting (last "
-                f"residual {residual!r}): {exc}"
+                f"integration broke down during shooting (last residual "
+                f"{residual!r}): {exc}"
             ) from exc
         residual = float(np.max(np.abs(defects)))
         if not math.isfinite(residual):
             raise NewtonDivergence(f"shooting residual became non-finite ({residual!r})")
         if residual < tol:
-            return xs[0].copy()
+            mono = legs[0]
+            for phi in legs[1:]:
+                mono = phi @ mono
+            return xs[0].copy(), mono, residual
         jac = np.zeros((count * n, count * n))
         for j in range(count):
             jac[j * n:(j + 1) * n, j * n:(j + 1) * n] = legs[j]
@@ -476,11 +431,15 @@ def _newton_orbit_multishoot(
             step = np.linalg.solve(jac, -defects.ravel()).reshape(count, n)
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergence(
-                f"singular multiple-shooting system (last residual {residual!r})"
+                f"singular shooting system (last residual {residual!r})"
             ) from exc
+        # Backtracking damping: near-unit multipliers make the system nearly
+        # singular and the full step can overshoot the basin; halve until
+        # the defect shrinks (the full step is kept whenever it works, so
+        # quadratic convergence near the root is untouched).
         damping = 1.0
         for _ in range(12):
-            if _multishoot_defect(flow, xs + damping * step, times) < residual:
+            if _shooting_defect(flow, xs + damping * step, times) < residual:
                 break
             damping *= 0.5
         xs = xs + damping * step
@@ -678,7 +637,7 @@ def trace_manifolds(
             np.linspace(t0, t1, path_samples) if path_samples > 1 else None
         )
         sol = _solve(
-            flow, x, t0, t1,
+            flow.rhs, x, t0, t1, flow.abs_tol, flow.rel_tol,
             events=[ev for _, ev in plane_events] or None,
             t_eval=t_eval,
         )
@@ -765,12 +724,8 @@ def divergence_integral(flow: FlowSpec, state, m: int) -> float:
             [flow.rhs(t, x), [float(np.trace(flow.jacobian(t, x)))]]
         )
 
-    aug = FlowSpec(
-        rhs=aug_rhs, jacobian=flow.jacobian, period=flow.period, dim=flow.dim,
-        abs_tol=flow.abs_tol, rel_tol=flow.rel_tol,
-    )
     y0 = np.concatenate([np.asarray(state, dtype=float), [0.0]])
-    sol = _solve(aug, y0, 0.0, m * flow.period)
+    sol = _solve(aug_rhs, y0, 0.0, m * flow.period, flow.abs_tol, flow.rel_tol)
     return float(sol.y[-1, -1])
 
 
