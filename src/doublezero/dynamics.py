@@ -7,6 +7,12 @@ single-parameter fold detection by bisection on orbit existence, and
 stable/unstable manifold traces of saddle orbits seeded along Floquet
 eigendirections.
 
+Single trajectories and the variational equations are integrated by
+SciPy's ``solve_ivp`` (DOP853).  Manifold traces advance all chains of a
+branch together through an in-module NumPy DOP853 ensemble that applies
+SciPy's step-size rules to every chain separately, and a chain ends as
+soon as it leaves the tracing box, mid-strobe included.
+
 Two flow builders are provided: the rescaled planar system
 
     zeta1' = zeta2
@@ -27,7 +33,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _DOP853
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
+from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -76,6 +85,11 @@ _CONTRACTION_CUT = 50.0
 #: Strobe increment below which a chain is sitting on a periodic point.
 _FIXED_POINT_TOL = 1e-12
 
+_N_STAGES = _DOP853.N_STAGES
+#: Step-size factors scale with the error norm to this power.
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -83,6 +97,10 @@ class FlowSpec:
 
     ``rhs(t, state)`` and ``jacobian(t, state)`` must accept any real time;
     ``period`` is the forcing period that defines the strobe section.
+    ``rhs`` must also evaluate a batch: states of shape ``(dim, N)`` with
+    times of shape ``(N,)``, returning the ``(dim, N)`` array whose columns
+    are the single-state results (the manifold tracer integrates its chains
+    this way).
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -183,7 +201,7 @@ def pendulum_flow(
 
 
 def _solve(rhs, state0, t0: float, t1: float, abs_tol: float, rel_tol: float,
-           events=None, t_eval=None):
+           t_eval=None):
     sol = solve_ivp(
         rhs,
         (t0, t1),
@@ -191,7 +209,6 @@ def _solve(rhs, state0, t0: float, t1: float, abs_tol: float, rel_tol: float,
         method="DOP853",
         rtol=rel_tol,
         atol=abs_tol,
-        events=events,
         t_eval=t_eval,
         dense_output=False,
     )
@@ -597,13 +614,19 @@ def trace_manifolds(
 
     ``count`` seeds are placed at geometric offsets spanning one fundamental
     domain ``[arc/multiplier, arc]`` along each Floquet eigendirection and
-    iterated under the strobe map (inverse map for the stable branches)
-    until every image leaves the box ``max|state_i| <= box``, contracts onto
-    a periodic point, or ``max_iterates`` is reached.  For 3-D flows the
-    continuous trajectories' intersections with the planes ``state_3 = c``
-    are recorded per branch.  ``path_samples > 1`` additionally stores that
-    many dense samples of each between-strobe trajectory in ``path`` (for an
-    autonomous flow the path is itself a manifold sampling).
+    iterated under the strobe map (inverse map for the stable branches).
+    A chain ends when its trajectory leaves the box ``max|state_i| <= box``
+    at any accepted integrator step (mid-strobe included, so no chain is
+    followed into a finite-time blow-up), when the integrator fails, when it
+    contracts onto a periodic point, or after ``max_iterates``.  All live
+    chains of a branch are advanced through each strobe period together as
+    one DOP853 ensemble in which every chain keeps its own step-size
+    control, so each chain takes the steps a lone integration would take.
+    For 3-D flows the continuous trajectories' intersections with the
+    planes ``state_3 = c`` are recorded per branch.  ``path_samples > 1``
+    additionally stores that many dense samples of each between-strobe
+    trajectory in ``path`` (for an autonomous flow the path is itself a
+    manifold sampling).
 
     Raises
     ------
@@ -619,36 +642,7 @@ def trace_manifolds(
     lam_u, v_u, lam_s, v_s = _saddle_directions(saddle)
     x_star = saddle.initial_state
     period = saddle.m * flow.period
-
-    plane_events = []
-    if flow.dim == 3 and planes:
-        for c in planes:
-            def make_event(cc: float):
-                def ev(t, y):
-                    return y[2] - cc
-                ev.terminal = False
-                ev.direction = 0
-                return ev
-            plane_events.append((float(c), make_event(float(c))))
-
-    def strobe(x: np.ndarray, backward: bool):
-        t0, t1 = (period, 0.0) if backward else (0.0, period)
-        t_eval = (
-            np.linspace(t0, t1, path_samples) if path_samples > 1 else None
-        )
-        sol = _solve(
-            flow.rhs, x, t0, t1, flow.abs_tol, flow.rel_tol,
-            events=[ev for _, ev in plane_events] or None,
-            t_eval=t_eval,
-        )
-        cuts = []
-        if plane_events:
-            for (c, _), ys in zip(plane_events, sol.y_events):
-                for row in np.atleast_2d(ys):
-                    if row.size:
-                        cuts.append((c, row.copy()))
-        samples = sol.y.T[1:] if t_eval is not None else ()
-        return sol.y[:, -1].copy(), cuts, samples
+    planes = [float(c) for c in planes] if flow.dim == 3 else []
 
     def follow(
         direction: np.ndarray, multiplier: float, backward: bool, branch: ManifoldBranch
@@ -656,44 +650,42 @@ def trace_manifolds(
         # One fundamental domain of offsets: successive strobe images of the
         # seed segment tile the manifold without gaps.
         offsets = np.geomspace(arc / multiplier, arc, count)
-        seeds = [x_star + off * direction for off in offsets]
-        pts: list[tuple[float, ...]] = [tuple(map(float, s)) for s in seeds]
-        idx: list[tuple[int, int]] = [(0, i) for i in range(len(seeds))]
-        cuts: dict[float, list[tuple[float, ...]]] = {c: [] for c, _ in plane_events}
-        heads: list[np.ndarray | None] = list(seeds)
-        increments = [math.inf] * len(seeds)
-        chain_paths: list[list[tuple[float, ...]]] = [[] for _ in seeds]
+        heads = x_star[:, None] + offsets * direction[:, None]
+        pts: list[tuple[float, ...]] = [tuple(map(float, s)) for s in heads.T]
+        idx: list[tuple[int, int]] = [(0, i) for i in range(count)]
+        cuts: dict[float, list[tuple[float, ...]]] = {c: [] for c in planes}
+        increments = np.full(count, math.inf)
+        chain_paths: list[list[tuple[float, ...]]] = [[] for _ in range(count)]
+        t0, t1 = (period, 0.0) if backward else (0.0, period)
+        live = np.arange(count)
         for iterate in range(1, max_iterates + 1):
-            progressed = False
-            for i, s in enumerate(heads):
-                if s is None:
+            if not live.size:
+                break
+            end = _ensemble_dop853(
+                flow, heads[:, live], t0, t1, box, planes, path_samples
+            )
+            kept = []
+            for j, i in enumerate(live.tolist()):
+                if end.failed[j]:
                     continue
-                try:
-                    img, new_cuts, samples = strobe(s, backward)
-                except StepFailure:
-                    heads[i] = None
-                    continue
-                for c, row in new_cuts:
+                for c, row in end.cuts[j]:
                     cuts[c].append(tuple(map(float, row)))
-                for row in samples:
-                    chain_paths[i].append(tuple(map(float, row)))
-                if np.max(np.abs(img)) > box:
-                    heads[i] = None
+                chain_paths[i].extend(tuple(map(float, row)) for row in end.paths[j])
+                if end.left_box[j]:
                     continue
-                d = float(np.max(np.abs(img - s)))
+                img = end.states[:, j]
+                d = float(np.max(np.abs(img - heads[:, i])))
                 pts.append(tuple(map(float, img)))
                 idx.append((iterate, i))
                 if d < _FIXED_POINT_TOL or (
                     math.isfinite(increments[i])
                     and d * _CONTRACTION_CUT < increments[i]
                 ):
-                    heads[i] = None
                     continue
-                heads[i] = img
+                heads[:, i] = img
                 increments[i] = d
-                progressed = True
-            if not progressed:
-                break
+                kept.append(i)
+            live = np.array(kept, dtype=int)
         return ManifoldTrace(
             branch=branch,
             points=tuple(pts),
@@ -712,6 +704,188 @@ def trace_manifolds(
     }
     wanted = tuple(plans) if branches is None else tuple(branches)
     return [follow(*plans[b], b) for b in wanted]
+
+
+@dataclass(frozen=True)
+class _EnsembleEnd:
+    """How each member of one ensemble integration ended.
+
+    ``states[:, j]`` is member ``j`` at ``t1``, or at its first accepted
+    step outside the box when ``left_box[j]``; ``failed[j]`` marks a member
+    whose step size fell below SciPy's ``min_step``.  ``cuts[j]`` lists
+    ``(plane, state)`` crossings and ``paths[j]`` the dense samples, both
+    in time order and up to the member's end.
+    """
+
+    states: np.ndarray
+    left_box: np.ndarray
+    failed: np.ndarray
+    cuts: list[list[tuple[float, np.ndarray]]]
+    paths: list[list[np.ndarray]]
+
+
+def _combine(weights: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """``sum_i weights[i] * K[i]`` over the first ``len(weights)`` stages of ``K``."""
+    s = len(weights)
+    return (weights @ K[:s].reshape(s, -1)).reshape(K.shape[1:])
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    """SciPy's RMS norm, taken per column."""
+    return np.linalg.norm(x, axis=0) / math.sqrt(x.shape[0])
+
+
+def _initial_step(rhs, t0: float, y0, f0, t1: float, direction: float,
+                  abs_tol: float, rel_tol: float) -> np.ndarray:
+    """SciPy's ``select_initial_step`` for DOP853, one step per column."""
+    interval = abs(t1 - t0)
+    scale = abs_tol + np.abs(y0) * rel_tol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, interval)
+        f1 = rhs(t0 + h0 * direction, y0 + h0 * direction * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        h1 = np.where(
+            (d1 <= 1e-15) & (d2 <= 1e-15),
+            np.maximum(1e-6, h0 * 1e-3),
+            (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT,
+        )
+    return np.minimum(np.minimum(100.0 * h0, h1), interval)
+
+
+def _ensemble_dop853(
+    flow: FlowSpec,
+    y0: np.ndarray,
+    t0: float,
+    t1: float,
+    box: float,
+    planes: Sequence[float],
+    samples: int,
+) -> _EnsembleEnd:
+    """Integrate the columns of ``y0`` (shape ``(dim, N)``) from ``t0`` to ``t1``.
+
+    Every column is one member that follows SciPy's DOP853 rules on its own:
+    initial step, error norm, step controller and the ``min_step`` failure,
+    so it takes the steps ``solve_ivp`` would take for it alone, up to
+    rounding.  The members share each stage's right-hand-side call,
+    ``flow.rhs(t, Y)`` with ``t`` of shape ``(N,)`` and ``Y`` of shape
+    ``(dim, N)``.  A member ends at ``t1``, at its first accepted step with
+    ``max|state| > box``, or on step failure.  Plane crossings ``state_3 =
+    c`` are located by ``brentq`` on the step's DOP853 interpolant (as
+    ``solve_ivp`` locates events), and ``samples > 1`` evenly spaced times
+    after ``t0`` are read from it too; the interpolant's three extra stages
+    are built only for steps that need one.
+    """
+    rhs, atol, rtol = flow.rhs, flow.abs_tol, flow.rel_tol
+    n, count = y0.shape
+    direction = 1.0 if t1 > t0 else -1.0
+    grid = np.linspace(t0, t1, samples)[1:] if samples > 1 else np.empty(0)
+    ordered_grid = direction * grid
+    plane_arr = np.asarray(planes, dtype=float)[:, None]
+    dense = bool(len(planes)) or grid.size > 0
+
+    states = y0.copy()
+    left_box = np.zeros(count, dtype=bool)
+    failed = np.zeros(count, dtype=bool)
+    cuts: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(count)]
+    paths: list[list[np.ndarray]] = [[] for _ in range(count)]
+
+    # Working arrays hold the running members only, in ``live`` order.
+    live = np.arange(count)
+    t = np.full(count, float(t0))
+    y = y0.copy()
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t0, y, f, t1, direction, atol, rtol)
+    rejected = np.zeros(count, dtype=bool)
+    g = y[2:3] - plane_arr  # plane-event values, empty without planes
+    due = np.zeros(count, dtype=int)
+    while live.size:
+        min_step = 10.0 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        t_new = t + direction * h_abs
+        t_new = np.where(direction * (t_new - t1) > 0, t1, t_new)
+        h = t_new - t
+        K = np.empty((_N_STAGES + 1, n, live.size))
+        K[0] = f
+        for s in range(1, _N_STAGES):
+            dy = _combine(_DOP853.A[s, :s], K) * h
+            K[s] = rhs(t + _DOP853.C[s] * h, y + dy)
+        y_new = y + h * _combine(_DOP853.B, K)
+        f_new = K[-1] = rhs(t + h, y_new)
+
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err5 = np.sum((_combine(_DOP853.E5, K) / scale) ** 2, axis=0)
+        err3 = np.sum((_combine(_DOP853.E3, K) / scale) ** 2, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            err = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * n)
+            err = np.where((err5 == 0) & (err3 == 0), 0.0, err)
+            factor = SAFETY * err ** _ERROR_EXPONENT
+        accept = err < 1
+        grow = np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, factor))
+        grow = np.where(rejected, np.minimum(1.0, grow), grow)
+        # fmax, like Python's max, turns a NaN error into the largest cut.
+        h_abs = np.abs(h) * np.where(accept, grow, np.fmax(MIN_FACTOR, factor))
+        rejected = ~accept
+
+        if dense:
+            g_new = y_new[2:3] - plane_arr
+            hit = accept & (((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0)))
+            g = np.where(accept, g_new, g)
+            upto = np.where(
+                accept, np.searchsorted(ordered_grid, direction * t_new, "right"), due
+            )
+            need = np.flatnonzero(hit.any(axis=0) | (upto > due))
+            if need.size:
+                sols = _interpolants(rhs, K, t, t_new, y, y_new, f_new, need)
+                for j, sol in zip(need, sols):
+                    member = live[j]
+                    for p in np.flatnonzero(hit[:, j]):
+                        c = planes[p]
+                        root = brentq(lambda tau: sol(tau)[2] - c, t[j], t_new[j],
+                                      xtol=4 * _EPS, rtol=4 * _EPS)
+                        cuts[member].append((c, sol(root)))
+                    paths[member].extend(sol(grid[due[j]:upto[j]]).T)
+            due = upto
+
+        t = np.where(accept, t_new, t)
+        y[:, accept] = y_new[:, accept]
+        f[:, accept] = f_new[:, accept]
+        out = accept & (np.max(np.abs(y), axis=0) > box)
+        stop = (accept & (direction * (t - t1) >= 0)) | out
+        stuck = rejected & (h_abs < min_step)
+        stop |= stuck
+        if stop.any():
+            states[:, live[stop]] = y[:, stop]
+            left_box[live[out]] = True
+            failed[live[stuck]] = True
+            keep = ~stop
+            live, t, y, f = live[keep], t[keep], y[:, keep], f[:, keep]
+            h_abs, rejected, due, g = h_abs[keep], rejected[keep], due[keep], g[:, keep]
+    return _EnsembleEnd(states, left_box, failed, cuts, paths)
+
+
+def _interpolants(rhs, K, t, t_new, y, y_new, f_new, need):
+    """SciPy's DOP853 dense output of the step ``t -> t_new`` of members ``need``."""
+    n = y.shape[0]
+    tn, yn = t[need], y[:, need]
+    hn = t_new[need] - tn
+    ext = np.empty((_DOP853.N_STAGES_EXTENDED, n, need.size))
+    ext[:_N_STAGES + 1] = K[:, :, need]
+    for s in range(_N_STAGES + 1, _DOP853.N_STAGES_EXTENDED):
+        dy = _combine(_DOP853.A[s, :s], ext) * hn
+        ext[s] = rhs(tn + _DOP853.C[s] * hn, yn + dy)
+    delta = y_new[:, need] - yn
+    F = np.empty((_DOP853.INTERPOLATOR_POWER, n, need.size))
+    F[0] = delta
+    F[1] = hn * ext[0] - delta
+    F[2] = 2.0 * delta - hn * (f_new[:, need] + ext[0])
+    F[3:] = hn * np.stack([_combine(row, ext) for row in _DOP853.D])
+    return [
+        Dop853DenseOutput(tn[k], t_new[need[k]], yn[:, k], F[:, :, k])
+        for k in range(need.size)
+    ]
 
 
 def divergence_integral(flow: FlowSpec, state, m: int) -> float:

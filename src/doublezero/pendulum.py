@@ -258,14 +258,18 @@ def reduce_pendulum(p: PendulumParams) -> tuple[NormalFormParams, ScaledParams]:
     return nf, scale(nf, p.eps)
 
 
-def vector_field(p: PendulumParams, t: float, z) -> np.ndarray:
-    """Right-hand side of the pendulum equations at time ``t`` and state ``z``."""
-    z1, z2, z3 = float(z[0]), float(z[1]), float(z[2])
-    theta_d = p.eps * p.beta * math.cos(p.omega * t) + p.theta0.angle
+def vector_field(p: PendulumParams, t, z) -> np.ndarray:
+    """Right-hand side of the pendulum equations at time ``t`` and state ``z``.
+
+    Also evaluates a batch: ``z`` of shape ``(3, N)`` with ``t`` of shape
+    ``(N,)`` gives the ``(3, N)`` columns of the single-state results.
+    """
+    z1, z2, z3 = np.asarray(z, dtype=float)
+    theta_d = p.eps * p.beta * np.cos(p.omega * t) + p.theta0.angle
     return np.array(
         [
             z2,
-            -math.sin(z1) - p.delta0 * z2 + z3,
+            -np.sin(z1) - p.delta0 * z2 + z3,
             -p.alpha * z3 + p.gamma * (theta_d - z1) - p.delta1 * z2,
         ]
     )

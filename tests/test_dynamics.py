@@ -1,25 +1,35 @@
-"""Newton shooting: a forced linear oscillator with a closed-form orbit, and a
-multiple-shooting saddle."""
+"""Newton shooting on a forced linear oscillator with a closed-form orbit and
+on a multiple-shooting saddle; monodromy, fold detection, the batched flow
+contract, and manifold tracing against per-chain ``solve_ivp``."""
 
 from __future__ import annotations
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from doublezero.dynamics import (
     FlowSpec,
+    ManifoldBranch,
     OrbitClass,
+    detect_saddle_node,
     find_subharmonic,
+    integrate,
     liouville_defect,
     monodromy,
+    pendulum_flow,
     scaled_flow,
+    trace_manifolds,
 )
-from doublezero.fourier import cosine
+from doublezero.fourier import TrigPolynomial, cosine
 from doublezero.melnikov import h_hat, separatrix_constants
 from doublezero.orbits import FamilyTag
+from doublezero.pendulum import example_theta_zero
 
 #: x'' + C x' + x = cos(OMEGA t)
 C = 0.3
@@ -63,20 +73,29 @@ def test_single_shooting_returns_the_full_period_monodromy() -> None:
     assert res.residual == float(np.max(np.abs(xf - res.initial_state)))
 
 
-@pytest.mark.parametrize("offset", [-0.6, 0.0, 0.6])
-def test_leg_product_monodromy_matches_a_full_period_integration(offset: float) -> None:
-    # The right saddle of the separatrix-splitting experiment, across its
-    # predicted window in nu_hat.
+def splitting_flow(offset: float, **kwargs) -> FlowSpec:
+    """The separatrix-splitting flow at ``offset`` half-widths from its window's center."""
     omega_hat = 1.4
     forcing = cosine(1.0)
     profile = h_hat(forcing, FamilyTag.HET_PAIR, omega_hat)
     c1, c2 = separatrix_constants(FamilyTag.HET_PAIR)
     center = -(c2 + 0.5 * (profile.hmax + profile.hmin)) / c1
     halfwidth = 0.5 * (profile.hmax - profile.hmin) / c1
-    flow = scaled_flow(
+    return scaled_flow(
         s1=1, s2=1, nu1_sign=-1, eps_hat=0.05, nu_hat=center + offset * halfwidth,
-        omega_hat=omega_hat, delta_big=1.0, forcing=forcing,
+        omega_hat=omega_hat, delta_big=1.0, forcing=forcing, **kwargs,
     )
+
+
+def pendulum_saddle_flow() -> FlowSpec:
+    return pendulum_flow(example_theta_zero(1.25, -1.2, omega=1.0, eps=0.01))
+
+
+@pytest.mark.parametrize("offset", [-0.6, 0.0, 0.6])
+def test_leg_product_monodromy_matches_a_full_period_integration(offset: float) -> None:
+    # The right saddle of the separatrix-splitting experiment, across its
+    # predicted window in nu_hat.
+    flow = splitting_flow(offset)
     tol = 1e-10
     res = find_subharmonic(flow, 1, (1.0, 0.0), tol=tol, segments=8)
     assert res.classification is OrbitClass.SADDLE
@@ -87,3 +106,199 @@ def test_leg_product_monodromy_matches_a_full_period_integration(offset: float) 
     fresh = np.sort_complex(np.linalg.eigvals(mono))
     for lam, ref in zip(np.sort_complex(np.array(res.multipliers)), fresh):
         assert abs(lam - ref) < 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: splitting_flow(0.3),
+    lambda: scaled_flow(
+        s1=-1, s2=1, nu1_sign=1, eps_hat=0.2, nu_hat=0.4, omega_hat=0.9,
+        delta_big=0.7, forcing=TrigPolynomial({1: 0.8, 3: -0.2}, {2: 0.5}),
+    ),
+    pendulum_saddle_flow,
+])
+def test_rhs_evaluates_a_batch_column_by_column(build) -> None:
+    flow = build()
+    rng = np.random.default_rng(7)
+    states = rng.uniform(-1.5, 1.5, size=(flow.dim, 9))
+    times = rng.uniform(-3.0, 3.0, size=9)
+    batched = flow.rhs(times, states)
+    columns = np.stack(
+        [flow.rhs(float(t), states[:, j]) for j, t in enumerate(times)], axis=1
+    )
+    assert batched.shape == (flow.dim, 9)
+    assert np.max(np.abs(batched - columns)) <= 1e-15 * np.max(np.abs(columns))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: splitting_flow(0.0, abs_tol=1e-12, rel_tol=1e-12),
+    lambda: replace(pendulum_saddle_flow(), abs_tol=1e-12, rel_tol=1e-12),
+])
+def test_monodromy_matches_central_differences(build) -> None:
+    flow = build()
+    state = np.array([0.4, -0.2, 0.3][:flow.dim])
+    end, mono = monodromy(flow, state, 1)
+    assert np.max(np.abs(end - integrate(flow, state, 0.0, flow.period))) < 1e-10
+    step = 1e-5
+    columns = []
+    for k in range(flow.dim):
+        dx = np.zeros(flow.dim)
+        dx[k] = step
+        plus = integrate(flow, state + dx, 0.0, flow.period)
+        minus = integrate(flow, state - dx, 0.0, flow.period)
+        columns.append((plus - minus) / (2.0 * step))
+    assert np.max(np.abs(mono - np.stack(columns, axis=1))) < 1e-6 * np.max(np.abs(mono))
+
+
+def test_saddle_node_detection_finds_a_closed_form_fold() -> None:
+    # x' = p - (1 - cos x), y' = -y: the equilibria cos x = 1 - p exist for
+    # p >= 0 and merge at x = 0 when p = 0.
+    def family(p: float) -> FlowSpec:
+        def rhs(t, z):
+            return np.array([p - (1.0 - np.cos(z[0])), -z[1]])
+
+        def jac(t, z):
+            return np.array([[-math.sin(z[0]), 0.0], [0.0, -1.0]])
+
+        return FlowSpec(rhs=rhs, jacobian=jac, period=1.0, dim=2)
+
+    fold = detect_saddle_node(
+        family, 1, (-0.04, 0.06), (0.35, 0.0), param_tol=1e-6, max_iter=12
+    )
+    assert abs(fold) <= 1e-6
+
+
+def sequential_trace(flow, trace, backward, box, max_iterates, planes=(), path_samples=0):
+    """Reference tracer: one ``solve_ivp`` call per chain per strobe iterate.
+
+    Starts from the seeds of ``trace`` and tests the box at strobe times
+    only, so it agrees with ``trace_manifolds`` wherever no chain leaves the
+    box and comes back within one strobe period.
+    """
+    seeds = [np.array(p) for (it, _), p in zip(trace.indices, trace.points) if it == 0]
+
+    def plane_event(c):
+        return lambda t, y: y[2] - c
+
+    events = [plane_event(c) for c in planes] or None
+    t0, t1 = (flow.period, 0.0) if backward else (0.0, flow.period)
+    t_eval = np.linspace(t0, t1, path_samples) if path_samples > 1 else None
+    heads = list(seeds)
+    increments = [math.inf] * len(seeds)
+    points = [tuple(s) for s in seeds]
+    indices = [(0, i) for i in range(len(seeds))]
+    cuts = {c: [] for c in planes}
+    paths = [[] for _ in seeds]
+    for iterate in range(1, max_iterates + 1):
+        progressed = False
+        for i, head in enumerate(heads):
+            if head is None:
+                continue
+            sol = solve_ivp(flow.rhs, (t0, t1), head, method="DOP853",
+                            rtol=flow.rel_tol, atol=flow.abs_tol,
+                            events=events, t_eval=t_eval)
+            if not sol.success:
+                heads[i] = None
+                continue
+            for c, rows in zip(planes, sol.y_events or ()):
+                cuts[c].extend(tuple(row) for row in rows)
+            if t_eval is not None:
+                paths[i].extend(tuple(row) for row in sol.y.T[1:])
+            image = sol.y[:, -1]
+            if np.max(np.abs(image)) > box:
+                heads[i] = None
+                continue
+            d = float(np.max(np.abs(image - head)))
+            points.append(tuple(image))
+            indices.append((iterate, i))
+            if d < 1e-12 or (math.isfinite(increments[i]) and d * 50.0 < increments[i]):
+                heads[i] = None
+                continue
+            heads[i], increments[i] = image, d
+            progressed = True
+        if not progressed:
+            break
+    return indices, points, cuts, [p for chain in paths for p in chain]
+
+
+def max_gap(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))))
+
+
+def test_linear_saddle_manifolds_lie_on_its_eigenlines() -> None:
+    a = np.array([[0.5, 1.0], [1.0, -0.3]])
+    flow = FlowSpec(rhs=lambda t, z: a @ z, jacobian=lambda t, z: a, period=0.5, dim=2)
+    saddle = find_subharmonic(flow, 1, (0.0, 0.0))
+    vals, vecs = np.linalg.eig(a)
+    traces = trace_manifolds(flow, saddle, 1e-2, 5, box=3.0, max_iterates=40)
+    assert len(traces) == 4
+    for trace in traces:
+        stable = trace.branch in (ManifoldBranch.STABLE_LEFT, ManifoldBranch.STABLE_RIGHT)
+        k = int(np.argmin(vals)) if stable else int(np.argmax(vals))
+        v = vecs[:, k]
+        pts = np.array(trace.points)
+        off_line = np.abs(pts[:, 0] * v[1] - pts[:, 1] * v[0])
+        assert np.all(off_line <= 1e-8 * np.linalg.norm(pts, axis=1))
+        assert max(it for it, _ in trace.indices) > 5
+        # Every chain ends at the box: its last image lies inside, and one
+        # more strobe period would carry it out.
+        assert np.max(np.abs(pts)) <= 3.0
+        last = {c: p for (_, c), p in zip(trace.indices, pts)}
+        grow = math.exp(abs(vals[k]) * flow.period)
+        assert all(np.max(np.abs(p)) * grow > 3.0 for p in last.values())
+
+
+def test_splitting_traces_match_per_chain_integration() -> None:
+    flow = splitting_flow(0.45)
+    right = find_subharmonic(flow, 1, (1.0, 0.0), segments=8)
+    left = find_subharmonic(flow, 1, (-1.0, 0.0), segments=8)
+    for saddle, branch, backward in ((right, ManifoldBranch.UNSTABLE_LEFT, False),
+                                     (left, ManifoldBranch.STABLE_RIGHT, True)):
+        trace = trace_manifolds(flow, saddle, 2e-3, 40, box=2.0, max_iterates=2,
+                                branches=(branch,))[0]
+        indices, points, _, _ = sequential_trace(flow, trace, backward, 2.0, 2)
+        assert list(trace.indices) == indices
+        assert len(indices) > 40
+        assert max_gap(trace.points, points) < 1e-7
+
+
+def test_pendulum_plane_cuts_and_paths_match_solve_ivp_events() -> None:
+    flow = pendulum_saddle_flow()
+    saddle = find_subharmonic(flow, 1, (1.0, 0.0, math.sin(1.0)))
+    assert saddle.classification is OrbitClass.SADDLE
+    planes = (0.3, 0.47, 0.6)
+    for branch in (ManifoldBranch.UNSTABLE_RIGHT, ManifoldBranch.UNSTABLE_LEFT):
+        trace = trace_manifolds(flow, saddle, 1e-2, 5, box=10.0, max_iterates=3,
+                                planes=planes, path_samples=7, branches=(branch,))[0]
+        indices, points, cuts, path = sequential_trace(
+            flow, trace, False, 10.0, 3, planes=planes, path_samples=7
+        )
+        assert list(trace.indices) == indices
+        assert max_gap(trace.points, points) < 1e-7
+        assert len(trace.path) == len(path) > 0
+        assert max_gap(trace.path, path) < 1e-7
+        found = dict(trace.plane_cuts)
+        assert sum(len(rows) for rows in cuts.values()) > 0
+        for c in planes:
+            assert len(found[c]) == len(cuts[c])
+            if cuts[c]:
+                assert max_gap(found[c], cuts[c]) < 1e-7
+
+
+def test_a_chain_sent_toward_blow_up_ends_at_the_box() -> None:
+    # The right saddle's outer unstable branch runs into the cubic flow's
+    # finite-time singularity; its chains must stop once they leave the box.
+    flow = splitting_flow(0.0)
+    saddle = find_subharmonic(flow, 1, (1.0, 0.0), segments=8)
+    calls = 0
+
+    def counted(t, z):
+        nonlocal calls
+        calls += 1
+        if calls > 20000:
+            raise RuntimeError("the tracer is creeping toward the blow-up")
+        return flow.rhs(t, z)
+
+    trace = trace_manifolds(replace(flow, rhs=counted), saddle, 2e-3, 8, box=2.0,
+                            max_iterates=60, branches=(ManifoldBranch.UNSTABLE_RIGHT,))[0]
+    assert max(it for it, _ in trace.indices) < 10
+    assert calls < 2000
