@@ -5,7 +5,7 @@ near a doubly degenerate equilibrium under weak periodic forcing, and
 verifies the first-order predictions on a feedback-controlled pendulum:
 
 ``elliptic``
-    Complete elliptic integrals and Jacobi functions (AGM based).
+    Complete elliptic integrals (SciPy) and Jacobi functions (Landen).
 ``fourier``
     Exact-arithmetic trigonometric polynomials for forcing profiles.
 ``normalform``

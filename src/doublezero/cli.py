@@ -611,11 +611,13 @@ def _quad_over(f: Callable[[float], float], lo: float, hi: float) -> float:
     return value
 
 
-def _periodic_quadrature(f: Callable[[float], float], period_t: float, samples: int = 2048) -> float:
-    """Full-period integral by the trapezoid rule (spectrally accurate here)."""
-    ts = np.arange(samples) * (period_t / samples)
-    total = math.fsum(f(float(t)) for t in ts)
-    return total * period_t / samples
+#: Trapezoid-rule samples per period in ``experiment_jintegrals``.
+_QUADRATURE_SAMPLES = 2048
+
+
+def _periodic_quadrature(values: np.ndarray, period_t: float) -> float:
+    """Full-period integral of uniform samples (trapezoid rule, spectrally accurate here)."""
+    return float(np.sum(values)) * period_t / values.size
 
 
 def experiment_jintegrals(*, grid: int = 20, rtol: float = 1e-9) -> dict:
@@ -632,14 +634,9 @@ def experiment_jintegrals(*, grid: int = 20, rtol: float = 1e-9) -> dict:
             k = float(k)
             t_k = period(tag, k)
             j = j_integrals(tag, k, 1)
-            quads = (
-                _periodic_quadrature(lambda t: evaluate(tag, k, t).zeta2 ** 2, t_k),
-                _periodic_quadrature(
-                    lambda t: (lambda pt: pt.zeta1 ** 2 * pt.zeta2 ** 2)(evaluate(tag, k, t)),
-                    t_k,
-                ),
-                _periodic_quadrature(lambda t: evaluate(tag, k, t).zeta1 ** 2, t_k),
-            )
+            pt = evaluate(tag, k, np.arange(_QUADRATURE_SAMPLES) * (t_k / _QUADRATURE_SAMPLES))
+            z1sq, z2sq = pt.zeta1 ** 2, pt.zeta2 ** 2
+            quads = [_periodic_quadrature(v, t_k) for v in (z2sq, z1sq * z2sq, z1sq)]
             for closed, numeric in zip((j.j1, j.j2, j.j3), quads):
                 worst = max(worst, abs(closed - numeric) / max(abs(numeric), 1e-300))
         checks.append(_check(f"{name} closed forms vs quadrature", worst, rtol))
@@ -747,7 +744,7 @@ def experiment_hhat(
 def _profile_zero_phases(poly: TrigPolynomial, samples: int = 720) -> list[float]:
     """Phases in [0, 2*pi) where the profile changes sign (linear refinement)."""
     phis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    vals = np.array([float(poly(p)) for p in phis])
+    vals = poly(phis)
     step = 2.0 * math.pi / samples
     zeros = []
     for i in range(samples):
@@ -773,11 +770,8 @@ def _ring_seed_states(
         times += [phi / omega_hat, -phi / omega_hat, (2.0 * math.pi - phi) / omega_hat]
     t_k = period(family, k)
     times += list(np.linspace(0.0, t_k, grid, endpoint=False))
-    seeds = []
-    for t in times:
-        pt = evaluate(family, k, t)
-        seeds.append(np.array([pt.zeta1, pt.zeta2]))
-    return seeds
+    pt = evaluate(family, k, np.array(times))
+    return list(np.column_stack([pt.zeta1, pt.zeta2]))
 
 
 def _find_ring_orbit(

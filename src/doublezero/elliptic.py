@@ -4,11 +4,18 @@ Everything downstream (orbit families, periods, Melnikov integrals) rests on
 the three functions here:
 
 * ``complete_K`` / ``complete_E`` — complete elliptic integrals of the first
-  and second kind, computed by arithmetic-geometric-mean iteration
-  (quadratically convergent, table-free, machine precision).
+  and second kind, from ``scipy.special.ellipkm1`` (fed the complementary
+  parameter ``(1 - k)(1 + k)``, so K keeps full relative accuracy as
+  k -> 1) and ``scipy.special.ellipe``.
 * ``jacobi_sn_cn_dn`` — the Jacobi functions sn, cn, dn, computed by the
   descending Landen transformation with a trigonometric base case (the
-  amplitude-angle recursion attached to the same AGM sequence).
+  amplitude-angle recursion attached to the AGM sequence of ``k``).  The
+  recursion runs once over a whole array of arguments.
+
+``scipy.special.ellipj`` is not used for sn, cn, dn: near k -> 1 it loses
+1e-11 to 1e-9 in absolute accuracy, which breaks orbit periodicity at 1e-9
+and leaves pure-cosine projections that vanish by symmetry at about 1e-10
+instead of exactly zero.  The Landen recursion here keeps both.
 
 All reals are 64-bit floats.  ``complete_K`` refuses moduli above
 ``1 - 1e-12``; callers that need separatrix behaviour use the explicit
@@ -19,6 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
@@ -76,13 +86,7 @@ def complete_K(k: EllipticModulus | float) -> float:
         raise DomainError(
             f"complete_K needs 0 <= k <= {K_MODULUS_CUTOFF!r}, got {kv!r}"
         )
-    kprime = math.sqrt((1.0 - kv) * (1.0 + kv))
-    a, b = 1.0, kprime
-    for _ in range(64):
-        if abs(a - b) <= 1e-15 * a:
-            break
-        a, b = (a + b) / 2.0, math.sqrt(a * b)
-    return math.pi / (a + b)
+    return float(special.ellipkm1((1.0 - kv) * (1.0 + kv)))
 
 
 def complete_E(k: EllipticModulus | float) -> float:
@@ -95,38 +99,22 @@ def complete_E(k: EllipticModulus | float) -> float:
     kv = _modulus_value(k)
     if not (0.0 <= kv <= 1.0):
         raise DomainError(f"complete_E needs 0 <= k <= 1, got {kv!r}")
-    if kv == 1.0:
-        return 1.0
-    kprime = math.sqrt((1.0 - kv) * (1.0 + kv))
-    a, b = 1.0, kprime
-    total = 0.5 * kv * kv  # 2^{-1} * c_0^2
-    power = 0.5
-    for _ in range(64):
-        if abs(a - b) <= 1e-15 * a:
-            break
-        c = (a - b) / 2.0
-        a, b = (a + b) / 2.0, math.sqrt(a * b)
-        power *= 2.0
-        total += power * c * c
-    big_k = math.pi / (a + b)
-    return big_k * (1.0 - total)
+    return float(special.ellipe(kv * kv))
 
 
-def jacobi_sn_cn_dn(u: float, k: EllipticModulus | float) -> tuple[float, float, float]:
+def jacobi_sn_cn_dn(u, k: EllipticModulus | float):
     """Jacobi elliptic functions ``(sn u, cn u, dn u)`` for modulus ``k``.
 
-    Valid for any real ``u`` and ``0 <= k < 1``.  The argument is reduced
-    modulo the full period ``4K`` before the Landen amplitude recursion, so
-    large arguments lose no accuracy.  Identities ``sn^2 + cn^2 = 1`` and
-    ``dn^2 + k^2 sn^2 = 1`` hold to machine precision.
+    Valid for any real ``u`` (a float or an array) and ``0 <= k < 1``; an
+    array ``u`` gives three arrays of its shape, a float three floats.  The
+    argument is reduced modulo the full period ``4K`` before the Landen
+    amplitude recursion, so large arguments lose no accuracy.  Identities
+    ``sn^2 + cn^2 = 1`` and ``dn^2 + k^2 sn^2 = 1`` hold to machine precision.
     """
     kv = _modulus_value(k)
     if not (0.0 <= kv < 1.0):
         raise DomainError(f"jacobi_sn_cn_dn needs 0 <= k < 1, got {kv!r}")
-    u = float(u)
-    if kv == 0.0:
-        return (math.sin(u), math.cos(u), 1.0)
-
+    scalar = np.ndim(u) == 0
     kprime = math.sqrt((1.0 - kv) * (1.0 + kv))
     # AGM sequence a_n, c_n with a_0 = 1, b_0 = k', c_n = (a_{n-1} - b_{n-1})/2.
     a_seq = [1.0]
@@ -139,18 +127,22 @@ def jacobi_sn_cn_dn(u: float, k: EllipticModulus | float) -> tuple[float, float,
         a, b = (a + b) / 2.0, math.sqrt(a * b)
         a_seq.append(a)
 
-    big_k = math.pi / (a + b)
-    u = math.remainder(u, 4.0 * big_k)
+    # Exact IEEE remainder modulo the full period 4K: fmod is exact, and so
+    # is the one shift by the period that centres the result on zero.
+    period = 4.0 * math.pi / (a + b)
+    u = np.fmod(np.asarray(u, dtype=float), period)
+    u = u - period * np.round(u / period)
 
     n = len(a_seq) - 1
     phi = (2.0**n) * a_seq[n] * u
     for i in range(n, 0, -1):
-        s = (c_seq[i] / a_seq[i]) * math.sin(phi)
-        s = max(-1.0, min(1.0, s))
-        phi = 0.5 * (phi + math.asin(s))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt(max(0.0, 1.0 - (kv * sn) * (kv * sn)))
+        # c_i < a_i, so the arcsin argument cannot leave [-1, 1].
+        phi = 0.5 * (phi + np.arcsin((c_seq[i] / a_seq[i]) * np.sin(phi)))
+    sn = np.sin(phi)
+    cn = np.cos(phi)
+    dn = np.sqrt(np.maximum(0.0, 1.0 - (kv * sn) * (kv * sn)))
+    if scalar:
+        return (float(sn), float(cn), float(dn))
     return (sn, cn, dn)
 
 

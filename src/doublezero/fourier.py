@@ -3,7 +3,8 @@
 Forcing profiles and Melnikov profiles are 2*pi-periodic functions carried
 around as finite Fourier series.  This module provides the small immutable
 container used for them, plus helpers to build one from samples and to locate
-its extrema (dense sampling followed by golden-section refinement).
+its extrema (grid values from one inverse FFT of the coefficients, then a few
+Newton steps on the derivative at the grid arg-max and arg-min).
 """
 
 from __future__ import annotations
@@ -16,9 +17,13 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["TrigPolynomial", "cosine", "sine", "golden_section_max"]
+__all__ = ["TrigPolynomial", "cosine", "sine"]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Least number of grid points per period in ``TrigPolynomial.extrema``.
+_EXTREMA_SAMPLES = 4096
+#: Newton steps polishing each grid extremum; a grid point starts within
+#: half a grid step, and the steps converge quadratically from there.
+_NEWTON_STEPS = 6
 
 
 def _clean(coeffs: Mapping[int, float], what: str) -> tuple[tuple[int, float], ...]:
@@ -119,25 +124,46 @@ class TrigPolynomial:
         return TrigPolynomial(cos, sin)
 
     # -- extrema ----------------------------------------------------------
-    def extrema(self, samples: int = 4096) -> tuple[float, float]:
+    def extrema(self) -> tuple[float, float]:
         """Global (max, min) over one period.
 
-        Dense uniform sampling brackets each candidate, then golden-section
-        search refines it; adequate because the function is a smooth
-        trigonometric polynomial.
+        One inverse real FFT of the coefficients gives the values on a
+        uniform grid (``_EXTREMA_SAMPLES`` points, doubled until every
+        harmonic is resolved).  The grid arg-max and arg-min are then
+        polished by Newton steps on ``f'/f''``, each kept inside the grid
+        bracket around its start; a polished value replaces the grid value
+        only when it is the more extreme one.
         """
         if self.is_zero():
             return (0.0, 0.0)
-        grid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-        vals = self(grid)
-        step = 2.0 * math.pi / samples
-        i_max = int(np.argmax(vals))
-        i_min = int(np.argmin(vals))
-        hi = golden_section_max(self, grid[i_max] - step, grid[i_max] + step)
-        lo = -golden_section_max(
-            lambda p: -self(p), grid[i_min] - step, grid[i_min] + step
-        )
-        return (max(hi, float(vals[i_max])), min(lo, float(vals[i_min])))
+        # f(phi) = Re sum_j c_j exp(i j phi) with c_j = a_j - i b_j.
+        c = np.zeros(self.max_harmonic + 1, dtype=complex)
+        for j, v in self.cos_terms:
+            c[j] += v
+        for j, v in self.sin_terms:
+            c[j] -= 1j * v
+        n = _EXTREMA_SAMPLES
+        while n <= 2 * self.max_harmonic:
+            n *= 2
+        spec = 0.5 * n * c
+        spec[0] *= 2.0
+        vals = np.fft.irfft(spec, n)
+        step = 2.0 * math.pi / n
+        i_max, i_min = int(np.argmax(vals)), int(np.argmin(vals))
+        start = np.array([i_max, i_min]) * step
+        ij = 1j * np.arange(c.size)
+
+        def series(phi: np.ndarray, order: int) -> np.ndarray:
+            """The ``order``-th derivative at each of the phases ``phi``."""
+            return (np.exp(np.outer(phi, ij)) @ (c * ij**order)).real
+
+        phi = start
+        for _ in range(_NEWTON_STEPS):
+            d1, d2 = series(phi, 1), series(phi, 2)
+            shift = np.divide(d1, d2, out=np.zeros(2), where=d2 != 0.0)
+            phi = np.clip(phi - shift, start - step, start + step)
+        hi, lo = series(phi, 0)
+        return (max(float(hi), float(vals[i_max])), min(float(lo), float(vals[i_min])))
 
     # -- construction helpers ----------------------------------------------
     @staticmethod
@@ -169,22 +195,3 @@ def cosine(amplitude: float, harmonic: int = 1) -> TrigPolynomial:
 def sine(amplitude: float, harmonic: int = 1) -> TrigPolynomial:
     """The profile ``amplitude * sin(harmonic * phi)``."""
     return TrigPolynomial({}, {harmonic: amplitude})
-
-
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Maximum value of a unimodal scalar function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = float(f(x1)), float(f(x2))
-    while (b - a) > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = float(f(x2))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = float(f(x1))
-    xm = 0.5 * (a + b)
-    return float(f(xm))

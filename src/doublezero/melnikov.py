@@ -28,6 +28,7 @@ from .fourier import TrigPolynomial
 from .orbits import (
     FamilyKind,
     FamilyTag,
+    _checked_modulus,
     evaluate,
     period,
 )
@@ -52,6 +53,9 @@ MEAN_ZERO_TOL = 1e-10
 
 #: Relative slack accepted on the resonance identity n*T == m*T_hat.
 _RESONANCE_CHECK_RTOL = 1e-9
+
+#: Least number of samples per orbit period in ``h_hat_subharmonic``.
+_ORBIT_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -247,15 +251,15 @@ def h_hat_subharmonic(
     m: int,
     n: int,
     omega_hat: float,
-    *,
-    samples: int = 4096,
 ) -> MelnikovProfile:
     """Project a forcing profile onto a resonant periodic orbit's velocity.
 
     Computes ``h_hat_mn(phi) = integral over [0, m*T_hat] of zeta2(t) *
     h(omega_hat*t + phi)`` for an orbit satisfying the resonance
     ``n*T(k) = m*T_hat``.  The integral is evaluated spectrally: one
-    orbit period of ``zeta2`` is sampled uniformly, its discrete Fourier
+    orbit period of ``zeta2`` is sampled uniformly in one array-valued
+    orbit evaluation (4096 points, doubled until the highest
+    resonant harmonic is resolved), its discrete Fourier
     coefficients resolve the overlap with each forcing harmonic exactly
     (trigonometric quadrature is spectrally accurate for analytic
     periodic integrands), and only harmonics ``j`` divisible by ``n``
@@ -297,11 +301,11 @@ def h_hat_subharmonic(
         )
 
     max_q = (max_j // n) * m
-    n_samples = samples
+    n_samples = _ORBIT_SAMPLES
     while n_samples // 2 <= max_q + 2:
         n_samples *= 2
     times = np.arange(n_samples) * (t_orbit / n_samples)
-    zeta2 = np.array([evaluate(fam, kv, t).zeta2 for t in times])
+    zeta2 = evaluate(fam, kv, times).zeta2
     coeffs = np.fft.rfft(zeta2) / n_samples  # c_q of zeta2 = sum c_q e^{2 pi i q t / T}
 
     m_t_hat = m * t_hat
@@ -427,8 +431,8 @@ def j_integrals(
         raise DomainError(f"n must be a positive integer, got {n!r}")
     modulus = k if isinstance(k, EllipticModulus) else EllipticModulus(float(k))
     kv = modulus.k
-    # Validate the family range via evaluate's own check.
-    evaluate(fam, kv, 0.0)
+    # Validate the family range with the orbit layer's own check.
+    _checked_modulus(fam, kv)
 
     k2 = kv * kv
     e = complete_E(kv)

@@ -133,10 +133,14 @@ class FamilyKind:
 
 @dataclass(frozen=True)
 class OrbitPoint:
-    """A phase-space point ``(zeta1, zeta2)`` on an orbit."""
+    """A phase-space point ``(zeta1, zeta2)`` on an orbit.
 
-    zeta1: float
-    zeta2: float
+    The fields are arrays of equal shape when the point was evaluated at an
+    array of times.
+    """
+
+    zeta1: float | np.ndarray
+    zeta2: float | np.ndarray
 
     def as_array(self) -> np.ndarray:
         return np.array([self.zeta1, self.zeta2])
@@ -195,6 +199,17 @@ def modulus_range(family: FamilyKind | FamilyTag) -> tuple[float, float]:
     raise DomainError(f"{tag.value!r} is a separatrix family, not parameterized by a modulus")
 
 
+#: Per periodic family ``(c, s, quarters)``: the orbit at time ``t`` is a
+#: Jacobi profile of ``u = t / sqrt(c + s*k**2)``, and its period is
+#: ``quarters * K(k) * sqrt(c + s*k**2)``.
+_TIME_SCALE = {
+    FamilyTag.INSIDE_HET: (1.0, 1.0, 4.0),
+    FamilyTag.GLOBAL: (1.0, -2.0, 4.0),
+    FamilyTag.INSIDE_HOM: (2.0, -1.0, 2.0),
+    FamilyTag.OUTSIDE_HOM: (-1.0, 2.0, 4.0),
+}
+
+
 def _checked_modulus(family: FamilyKind, k: EllipticModulus | float) -> float:
     kv = k.k if isinstance(k, EllipticModulus) else float(k)
     lo, hi = modulus_range(family)
@@ -214,7 +229,7 @@ def _require_periodic(family: FamilyKind) -> None:
 def evaluate(
     family: FamilyKind | FamilyTag,
     k: EllipticModulus | float | None,
-    t: float,
+    t,
 ) -> OrbitPoint:
     """Closed-form orbit point at time ``t``.
 
@@ -226,66 +241,56 @@ def evaluate(
         Elliptic modulus in the family's admissible range; must be
         ``None`` for the separatrix families.
     t
-        Time along the orbit; ``t=0`` is the symmetric phase (the
-        turning point for even profiles, the zero crossing for odd).
+        Time along the orbit, a float or an array; ``t=0`` is the
+        symmetric phase (the turning point for even profiles, the zero
+        crossing for odd).
 
     Returns
     -------
     OrbitPoint
-        The point ``(zeta1(t), zeta2(t))``; separatrix evaluations with
-        ``|t| > SEPARATRIX_CLAMP_TIME`` return the saddle limit exactly.
+        The point ``(zeta1(t), zeta2(t))``, with float fields for a float
+        ``t`` and arrays of its shape for an array; separatrix evaluations
+        with ``|t| > SEPARATRIX_CLAMP_TIME`` return the saddle limit exactly.
     """
     fam = _as_kind(family)
-    t = float(t)
+    scalar = np.ndim(t) == 0
+    t = np.asarray(t, dtype=float)
     s = float(fam.sign)
 
-    if fam.tag is FamilyTag.HET_PAIR:
+    if fam.is_separatrix:
         if k is not None:
             raise DomainError("separatrix families take k=None")
-        if abs(t) > SEPARATRIX_CLAMP_TIME:
-            return OrbitPoint(s * math.copysign(1.0, t), 0.0)
-        u = t / _SQRT2
-        sech = 1.0 / math.cosh(u)
-        return OrbitPoint(s * math.tanh(u), s * sech * sech / _SQRT2)
-
-    if fam.tag is FamilyTag.HOM_PAIR:
-        if k is not None:
-            raise DomainError("separatrix families take k=None")
-        if abs(t) > SEPARATRIX_CLAMP_TIME:
-            return OrbitPoint(0.0, 0.0)
-        sech = 1.0 / math.cosh(t)
-        return OrbitPoint(s * _SQRT2 * sech, -s * _SQRT2 * sech * math.tanh(t))
-
-    if k is None:
-        raise DomainError(f"periodic family {fam.tag.value!r} needs a modulus")
-    kv = _checked_modulus(fam, k)
-
-    if fam.tag is FamilyTag.INSIDE_HET:
-        scale = math.sqrt(kv * kv + 1.0)
+        far = np.abs(t) > SEPARATRIX_CLAMP_TIME
+        tc = np.where(far, 0.0, t)  # far times would overflow cosh
+        if fam.tag is FamilyTag.HET_PAIR:
+            u = tc / _SQRT2
+            sech = 1.0 / np.cosh(u)
+            z1 = np.where(far, s * np.sign(t), s * np.tanh(u))
+            z2 = np.where(far, 0.0, s * sech * sech / _SQRT2)
+        else:
+            sech = 1.0 / np.cosh(tc)
+            z1 = np.where(far, 0.0, s * _SQRT2 * sech)
+            z2 = np.where(far, 0.0, -s * _SQRT2 * sech * np.tanh(tc))
+    else:
+        if k is None:
+            raise DomainError(f"periodic family {fam.tag.value!r} needs a modulus")
+        kv = _checked_modulus(fam, k)
+        c, s_k2, _ = _TIME_SCALE[fam.tag]
+        scale = math.sqrt(c + s_k2 * kv * kv)
         sn, cn, dn = jacobi_sn_cn_dn(t / scale, kv)
-        amp = _SQRT2 * kv / scale
-        return OrbitPoint(amp * sn, amp / scale * cn * dn)
+        if fam.tag is FamilyTag.INSIDE_HET:
+            amp = _SQRT2 * kv / scale
+            z1, z2 = amp * sn, amp / scale * cn * dn
+        elif fam.tag is FamilyTag.INSIDE_HOM:
+            amp = s * _SQRT2 / scale
+            z1, z2 = amp * dn, -amp / scale * kv * kv * sn * cn
+        else:  # GLOBAL and OUTSIDE_HOM share the cn profile
+            amp = _SQRT2 * kv / scale
+            z1, z2 = amp * cn, -amp / scale * sn * dn
 
-    if fam.tag is FamilyTag.GLOBAL:
-        denom = 1.0 - 2.0 * kv * kv
-        scale = math.sqrt(denom)
-        sn, cn, dn = jacobi_sn_cn_dn(t / scale, kv)
-        amp = _SQRT2 * kv / scale
-        return OrbitPoint(amp * cn, -amp / scale * sn * dn)
-
-    if fam.tag is FamilyTag.INSIDE_HOM:
-        denom = 2.0 - kv * kv
-        scale = math.sqrt(denom)
-        sn, cn, dn = jacobi_sn_cn_dn(t / scale, kv)
-        amp = s * _SQRT2 / scale
-        return OrbitPoint(amp * dn, -amp / scale * kv * kv * sn * cn)
-
-    # OUTSIDE_HOM
-    denom = 2.0 * kv * kv - 1.0
-    scale = math.sqrt(denom)
-    sn, cn, dn = jacobi_sn_cn_dn(t / scale, kv)
-    amp = _SQRT2 * kv / scale
-    return OrbitPoint(amp * cn, -amp / scale * sn * dn)
+    if scalar:
+        return OrbitPoint(float(z1), float(z2))
+    return OrbitPoint(z1, z2)
 
 
 def period(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
@@ -293,14 +298,8 @@ def period(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
     fam = _as_kind(family)
     _require_periodic(fam)
     kv = _checked_modulus(fam, k)
-    big_k = complete_K(kv)
-    if fam.tag is FamilyTag.INSIDE_HET:
-        return 4.0 * big_k * math.sqrt(kv * kv + 1.0)
-    if fam.tag is FamilyTag.GLOBAL:
-        return 4.0 * big_k * math.sqrt(1.0 - 2.0 * kv * kv)
-    if fam.tag is FamilyTag.INSIDE_HOM:
-        return 2.0 * big_k * math.sqrt(2.0 - kv * kv)
-    return 4.0 * big_k * math.sqrt(2.0 * kv * kv - 1.0)
+    c, s, quarters = _TIME_SCALE[fam.tag]
+    return quarters * complete_K(kv) * math.sqrt(c + s * kv * kv)
 
 
 def period_derivative(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
@@ -308,19 +307,9 @@ def period_derivative(family: FamilyKind | FamilyTag, k: EllipticModulus | float
     fam = _as_kind(family)
     _require_periodic(fam)
     kv = _checked_modulus(fam, k)
-    big_k = complete_K(kv)
-    dkd = dK_dk(kv)
-    if fam.tag is FamilyTag.INSIDE_HET:
-        scale = math.sqrt(kv * kv + 1.0)
-        return 4.0 * (dkd * scale + big_k * kv / scale)
-    if fam.tag is FamilyTag.GLOBAL:
-        scale = math.sqrt(1.0 - 2.0 * kv * kv)
-        return 4.0 * (dkd * scale - 2.0 * big_k * kv / scale)
-    if fam.tag is FamilyTag.INSIDE_HOM:
-        scale = math.sqrt(2.0 - kv * kv)
-        return 2.0 * (dkd * scale - big_k * kv / scale)
-    scale = math.sqrt(2.0 * kv * kv - 1.0)
-    return 4.0 * (dkd * scale + 2.0 * big_k * kv / scale)
+    c, s, quarters = _TIME_SCALE[fam.tag]
+    scale = math.sqrt(c + s * kv * kv)
+    return quarters * (dK_dk(kv) * scale + s * complete_K(kv) * kv / scale)
 
 
 def energy(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from doublezero.cli import experiment_manifold_splitting
+from doublezero.cli import experiment_hhat, experiment_jintegrals, experiment_manifold_splitting
 
 
 def test_manifold_splitting_runs_at_full_depth_with_few_chains() -> None:
@@ -19,3 +19,20 @@ def test_manifold_splitting_runs_at_full_depth_with_few_chains() -> None:
     assert all(r["crossing"] == r["inside_window"] for r in region)
     assert report["checks"][0]["passed"]
     assert [s["eps_hat"] for s in report["sign_sweep"]] == [0.05, 0.025]
+
+
+def test_jintegrals_passes_on_a_small_grid() -> None:
+    report = experiment_jintegrals(grid=3)
+    assert report["experiment"] == "jintegrals"
+    assert len(report["checks"]) == 10
+    assert all(c["passed"] for c in report["checks"])
+    assert report["passed"]
+
+
+def test_hhat_passes_at_low_order() -> None:
+    report = experiment_hhat(chi_count=3, max_m=2, max_n=1)
+    assert report["experiment"] == "hhat"
+    assert report["parameters"]["resonance_cases"] == 8
+    assert len(report["checks"]) == 4
+    assert all(c["passed"] for c in report["checks"])
+    assert report["passed"]

@@ -56,6 +56,16 @@ def test_jacobi_functions_match_reference_implementation() -> None:
             assert dn == pytest.approx(float(dn_ref), abs=1e-10)
 
 
+def test_array_arguments_match_scalar_arguments() -> None:
+    for k in [0.0] + K_GRID + [1.0 - 1e-6, 1.0 - 1e-11]:
+        u = np.linspace(-9.0 * complete_K(k), 9.0 * complete_K(k), 72).reshape(9, 8)
+        arrays = jacobi_sn_cn_dn(u, k)
+        for got in arrays:
+            assert got.shape == u.shape
+        for i, x in enumerate(u.ravel()):
+            assert tuple(a.ravel()[i] for a in arrays) == jacobi_sn_cn_dn(float(x), k)
+
+
 def test_jacobi_identities_hold() -> None:
     for k in K_GRID:
         for u in (-3.7, -1.0, 0.0, 0.3, 1.9, 4.2):

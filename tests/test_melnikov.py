@@ -214,6 +214,18 @@ def test_resonant_projection_selection_rules() -> None:
             assert prof2.is_zero
 
 
+@pytest.mark.parametrize("tag", [FamilyTag.INSIDE_HET, FamilyTag.OUTSIDE_HOM])
+@pytest.mark.parametrize("k", [1.0 - 1e-6, 1.0 - 1e-9])
+@pytest.mark.parametrize("m", [2, 4])
+def test_even_resonances_vanish_exactly_next_to_the_separatrix(tag, k, m) -> None:
+    # The orbit's velocity has odd harmonics only, so a pure cosine projects
+    # to exactly zero for even m however close k is to 1.
+    omega_hat = 2.0 * math.pi * m / period(tag, k)
+    prof = h_hat_subharmonic(cosine(1.0), tag, k, m, 1, omega_hat)
+    assert prof.is_zero
+    assert prof.hmax == 0.0 == prof.hmin
+
+
 def test_resonant_projection_validates_inputs() -> None:
     k = resonant_modulus(FamilyTag.INSIDE_HET, 1, 1, 0.8)
     with pytest.raises(ResonanceViolation):

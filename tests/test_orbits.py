@@ -11,6 +11,7 @@ from doublezero.errors import DomainError, NoResonance, ResonanceViolation
 from doublezero.orbits import (
     PAIRED_TAGS,
     PERIODIC_TAGS,
+    SEPARATRIX_CLAMP_TIME,
     SEPARATRIX_TAGS,
     FamilyKind,
     FamilyTag,
@@ -90,7 +91,13 @@ def test_energy_is_constant_and_matches_closed_form() -> None:
 
 def test_orbits_are_periodic_with_the_stated_period() -> None:
     for tag in sorted(PERIODIC_TAGS, key=lambda t: t.value):
-        for k in _sample_moduli(tag, 4):
+        moduli = _sample_moduli(tag, 4)
+        if modulus_range(tag)[1] == 1.0:
+            # Next to the separatrix (k -> 1), where sn, cn and dn are hardest
+            # to evaluate accurately.  The global family's range ends at
+            # 1/sqrt(2) instead, where its orbits grow without bound.
+            moduli.append(1.0 - 1e-9)
+        for k in moduli:
             t_period = period(tag, k)
             for t in (0.3, 1.1):
                 p0 = evaluate(tag, k, t)
@@ -141,6 +148,24 @@ def test_separatrix_limits_reach_the_saddles() -> None:
         assert hamiltonian(FamilyTag.HOM_PAIR, q.zeta1, q.zeta2) == pytest.approx(
             0.0, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("family", _families(), ids=lambda f: f"{f.tag.value}{f.sign:+d}")
+def test_array_evaluation_matches_scalar_evaluation(family: FamilyKind) -> None:
+    clamp = SEPARATRIX_CLAMP_TIME
+    if family.is_separatrix:
+        moduli = [None]
+        times = np.concatenate([np.linspace(-1.5 * clamp, 1.5 * clamp, 61), [-clamp, clamp, 0.0]])
+    else:
+        moduli = _sample_moduli(family.tag, 3) + [modulus_range(family.tag)[1] - 1e-9]
+        times = np.linspace(-3.0 * clamp, 3.0 * clamp, 61)
+    for k in moduli:
+        arr = evaluate(family, k, times[:, None])
+        assert arr.zeta1.shape == arr.zeta2.shape == (times.size, 1)
+        for t, z1, z2 in zip(times, arr.zeta1[:, 0], arr.zeta2[:, 0]):
+            point = evaluate(family, k, float(t))
+            assert type(point.zeta1) is float and type(point.zeta2) is float
+            assert (z1, z2) == (point.zeta1, point.zeta2)
 
 
 def test_paired_branches_are_reflections() -> None:
