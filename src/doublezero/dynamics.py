@@ -7,11 +7,13 @@ single-parameter fold detection by bisection on orbit existence, and
 stable/unstable manifold traces of saddle orbits seeded along Floquet
 eigendirections.
 
-Single trajectories and the variational equations are integrated by
-SciPy's ``solve_ivp`` (DOP853).  Manifold traces advance all chains of a
-branch together through an in-module NumPy DOP853 ensemble that applies
-SciPy's step-size rules to every chain separately, and a chain ends as
-soon as it leaves the tracing box, mid-strobe included.
+Single trajectories, and the variational equations of single shooting,
+are integrated by SciPy's ``solve_ivp`` (DOP853).  Everything that moves
+many states at once goes through an in-module NumPy DOP853 ensemble that
+applies SciPy's step-size rules to every member separately: the legs of a
+multiple-shooting Newton iterate, each carrying its variational columns,
+and the chains of a manifold branch, each of which ends as soon as it
+leaves the tracing box, mid-strobe included.
 
 Two flow builders are provided: the rescaled planar system
 
@@ -97,10 +99,13 @@ class FlowSpec:
 
     ``rhs(t, state)`` and ``jacobian(t, state)`` must accept any real time;
     ``period`` is the forcing period that defines the strobe section.
-    ``rhs`` must also evaluate a batch: states of shape ``(dim, N)`` with
-    times of shape ``(N,)``, returning the ``(dim, N)`` array whose columns
-    are the single-state results (the manifold tracer integrates its chains
-    this way).
+    Both must also evaluate a batch: states of shape ``(dim, N)`` with times
+    of shape ``(N,)``.  ``rhs`` then returns the ``(dim, N)`` array whose
+    columns are the single-state results, and ``jacobian`` the
+    ``(dim, dim, N)`` array whose ``[:, :, j]`` is the Jacobian at column
+    ``j``; a Jacobian that does not depend on the state may return one
+    ``(dim, dim)`` matrix instead.  The ensemble integrator that moves
+    manifold chains and multiple-shooting legs calls them this way.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -155,13 +160,11 @@ def scaled_flow(
 
     def jac(t: float, z: np.ndarray) -> np.ndarray:
         z1, z2 = z[0], z[1]
-        return np.array(
-            [
-                [0.0, 1.0],
-                [a + 3.0 * b * z1 * z1 + 2.0 * eh * s2 * z1 * z2,
-                 eh * (nh + s2 * z1 * z1)],
-            ]
-        )
+        out = np.zeros((2, 2) + np.shape(z1))
+        out[0, 1] = 1.0
+        out[1, 0] = a + 3.0 * b * z1 * z1 + 2.0 * eh * s2 * z1 * z2
+        out[1, 1] = eh * (nh + s2 * z1 * z1)
+        return out
 
     return FlowSpec(
         rhs=rhs, jacobian=jac, period=2.0 * math.pi / om, dim=2,
@@ -346,39 +349,43 @@ def find_subharmonic(
     m: int,
     guess,
     *,
-    homotopy: Sequence[FlowSpec] = (),
     tol: float = 1e-10,
     max_iter: int = 50,
     segments: int = 1,
 ) -> PeriodicOrbitResult:
     """Newton shooting for a fixed point of the ``m``-th strobe iterate.
 
-    ``homotopy`` optionally lists intermediate flows solved first (each
-    seeded from the previous solution) before the target ``flow`` — the
-    standard way to walk an orbit up from an easily-located limit.
-
     ``segments > 1`` switches to multiple shooting: the period is split into
     that many legs with the leg endpoints as extra unknowns.  Use it for
     strongly hyperbolic orbits, where single shooting amplifies guess error
     by the full-period multiplier and the first integration can escape.
+    The legs of each Newton iterate, with their variational columns, and
+    the legs of each backtracking trial are integrated together as one
+    DOP853 ensemble, every leg under its own step control.  A single leg is
+    integrated by ``solve_ivp``: one ensemble member takes the same steps
+    but pays the ensemble's per-step bookkeeping for a single stage call,
+    which made one period of the pendulum flow 2 to 3 times slower.
     The returned ``residual`` is the largest leg defect of the converged
     system (for one leg, the full-period return defect), so
     ``residual < tol``.
 
     Raises
     ------
+    DomainError
+        If ``guess`` has a non-finite component.
     NewtonDivergence
         After ``max_iter`` iterations without the residual dropping below
-        ``tol``, or when the shooting system becomes singular; the message
-        reports the last residual.
+        ``tol``, when an integration breaks down, or when the shooting
+        system becomes singular; the message reports the last residual.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if segments < 1:
         raise DomainError(f"segments must be >= 1, got {segments}")
-    x = np.asarray(guess, dtype=float).copy()
-    for stage in (*homotopy, flow):
-        x, mono, residual = _newton_orbit(stage, m, x, tol, max_iter, segments)
+    x0 = np.asarray(guess, dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise DomainError(f"guess must be finite, got {guess!r}")
+    x, mono, residual = _newton_orbit(flow, m, x0, tol, max_iter, segments)
     mults = tuple(complex(lam) for lam in np.linalg.eigvals(mono))
     return PeriodicOrbitResult(
         initial_state=x,
@@ -390,16 +397,63 @@ def find_subharmonic(
     )
 
 
+def _integrate_legs(
+    flow: FlowSpec, xs: np.ndarray, times: np.ndarray, variational: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """End states of the legs ``xs[j]`` over ``[times[j], times[j + 1]]``.
+
+    With ``variational`` the legs' transition matrices come back too, as a
+    ``(count, dim, dim)`` array, else ``None``.  Several legs are integrated
+    together as one ensemble; a single leg goes through ``solve_ivp``, which
+    takes the same steps for it faster (see :func:`find_subharmonic`).
+
+    Raises
+    ------
+    StepFailure
+        If the integration of any leg fails.
+    """
+    count, n = xs.shape
+    if count == 1:
+        t0, t1 = float(times[0]), float(times[1])
+        if variational:
+            end, phi = _transition(flow, xs[0], t0, t1)
+            return end[None], phi[None]
+        return integrate(flow, xs[0], t0, t1)[None], None
+    if variational:
+        rhs = _variational_rhs(flow)
+        y0 = np.concatenate([xs.T, np.repeat(np.eye(n).reshape(n * n, 1), count, axis=1)])
+    else:
+        rhs, y0 = flow.rhs, xs.T
+    end = _ensemble_dop853(rhs, y0, times[:-1], times[1:], flow.abs_tol, flow.rel_tol)
+    if end.failed.any():
+        j = int(np.flatnonzero(end.failed)[0])
+        raise StepFailure(
+            f"integration failed on [{times[j]}, {times[j + 1]}]: Required step "
+            f"size is less than spacing between numbers."
+        )
+    phis = end.states[n:].T.reshape(count, n, n) if variational else None
+    return end.states[:n].T, phis
+
+
+def _variational_rhs(flow: FlowSpec):
+    """Batched flow with its transition matrices, ``dim + dim*dim`` rows per member."""
+    n = flow.dim
+
+    def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = y[:n]
+        phi = y[n:].reshape(n, n, -1)
+        dphi = np.einsum("ij...,jk...->ik...", flow.jacobian(t, x), phi)
+        return np.concatenate([flow.rhs(t, x), dphi.reshape(n * n, -1)])
+
+    return rhs
+
+
 def _shooting_defect(flow: FlowSpec, xs: np.ndarray, times: np.ndarray) -> float:
-    worst = 0.0
-    count = xs.shape[0]
-    for j in range(count):
-        try:
-            xf = integrate(flow, xs[j], float(times[j]), float(times[j + 1]))
-        except StepFailure:
-            return math.inf
-        worst = max(worst, float(np.max(np.abs(xf - xs[(j + 1) % count]))))
-    return worst
+    try:
+        ends, _ = _integrate_legs(flow, xs, times, variational=False)
+    except StepFailure:
+        return math.inf
+    return float(np.max(np.abs(ends - np.roll(xs, -1, axis=0))))
 
 
 def _newton_orbit(
@@ -419,18 +473,14 @@ def _newton_orbit(
     eye = np.eye(n)
     residual = math.inf
     for _ in range(max_iter):
-        defects = np.empty((count, n))
-        legs = []
         try:
-            for j in range(count):
-                xf, phi = _transition(flow, xs[j], float(times[j]), float(times[j + 1]))
-                defects[j] = xf - xs[(j + 1) % count]
-                legs.append(phi)
+            ends, legs = _integrate_legs(flow, xs, times, variational=True)
         except StepFailure as exc:
             raise NewtonDivergence(
                 f"integration broke down during shooting (last residual "
                 f"{residual!r}): {exc}"
             ) from exc
+        defects = ends - np.roll(xs, -1, axis=0)
         residual = float(np.max(np.abs(defects)))
         if not math.isfinite(residual):
             raise NewtonDivergence(f"shooting residual became non-finite ({residual!r})")
@@ -662,7 +712,8 @@ def trace_manifolds(
             if not live.size:
                 break
             end = _ensemble_dop853(
-                flow, heads[:, live], t0, t1, box, planes, path_samples
+                flow.rhs, heads[:, live], t0, t1, flow.abs_tol, flow.rel_tol,
+                box=box, planes=planes, samples=path_samples,
             )
             kept = []
             for j, i in enumerate(live.tolist()):
@@ -735,14 +786,14 @@ def _rms(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x, axis=0) / math.sqrt(x.shape[0])
 
 
-def _initial_step(rhs, t0: float, y0, f0, t1: float, direction: float,
+def _initial_step(rhs, t0: np.ndarray, y0, f0, t1: np.ndarray, direction: float,
                   abs_tol: float, rel_tol: float) -> np.ndarray:
     """SciPy's ``select_initial_step`` for DOP853, one step per column."""
     interval = abs(t1 - t0)
     scale = abs_tol + np.abs(y0) * rel_tol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, interval)
         f1 = rhs(t0 + h0 * direction, y0 + h0 * direction * f0)
@@ -756,31 +807,37 @@ def _initial_step(rhs, t0: float, y0, f0, t1: float, direction: float,
 
 
 def _ensemble_dop853(
-    flow: FlowSpec,
+    rhs,
     y0: np.ndarray,
-    t0: float,
-    t1: float,
-    box: float,
-    planes: Sequence[float],
-    samples: int,
+    t0,
+    t1,
+    atol: float,
+    rtol: float,
+    *,
+    box: float = math.inf,
+    planes: Sequence[float] = (),
+    samples: int = 0,
 ) -> _EnsembleEnd:
     """Integrate the columns of ``y0`` (shape ``(dim, N)``) from ``t0`` to ``t1``.
 
-    Every column is one member that follows SciPy's DOP853 rules on its own:
-    initial step, error norm, step controller and the ``min_step`` failure,
-    so it takes the steps ``solve_ivp`` would take for it alone, up to
-    rounding.  The members share each stage's right-hand-side call,
-    ``flow.rhs(t, Y)`` with ``t`` of shape ``(N,)`` and ``Y`` of shape
-    ``(dim, N)``.  A member ends at ``t1``, at its first accepted step with
-    ``max|state| > box``, or on step failure.  Plane crossings ``state_3 =
-    c`` are located by ``brentq`` on the step's DOP853 interpolant (as
-    ``solve_ivp`` locates events), and ``samples > 1`` evenly spaced times
-    after ``t0`` are read from it too; the interpolant's three extra stages
-    are built only for steps that need one.
+    ``t0`` and ``t1`` are floats or ``(N,)`` arrays of per-member times; all
+    members run in one time direction.  Every column is one member that
+    follows SciPy's DOP853 rules on its own: initial step, error norm, step
+    controller and the ``min_step`` failure, so it takes the steps
+    ``solve_ivp`` would take for it alone, up to rounding.  The members
+    share each stage's right-hand-side call, ``rhs(t, Y)`` with ``t`` of
+    shape ``(N,)`` and ``Y`` of shape ``(dim, N)``.  A member ends at its
+    ``t1``, at its first accepted step with ``max|state| > box``, or on step
+    failure.  Plane crossings ``state_3 = c`` are located by ``brentq`` on
+    the step's DOP853 interpolant (as ``solve_ivp`` locates events), and
+    ``samples > 1`` evenly spaced times after ``t0`` are read from it too
+    (both need scalar times); the interpolant's three extra stages are built
+    only for steps that need one.
     """
-    rhs, atol, rtol = flow.rhs, flow.abs_tol, flow.rel_tol
     n, count = y0.shape
-    direction = 1.0 if t1 > t0 else -1.0
+    t_start = np.broadcast_to(np.asarray(t0, dtype=float), (count,))
+    t_end = np.broadcast_to(np.asarray(t1, dtype=float), (count,))
+    direction = 1.0 if t_end[0] > t_start[0] else -1.0
     grid = np.linspace(t0, t1, samples)[1:] if samples > 1 else np.empty(0)
     ordered_grid = direction * grid
     plane_arr = np.asarray(planes, dtype=float)[:, None]
@@ -794,10 +851,10 @@ def _ensemble_dop853(
 
     # Working arrays hold the running members only, in ``live`` order.
     live = np.arange(count)
-    t = np.full(count, float(t0))
+    t = t_start.copy()
     y = y0.copy()
     f = rhs(t, y)
-    h_abs = _initial_step(rhs, t0, y, f, t1, direction, atol, rtol)
+    h_abs = _initial_step(rhs, t, y, f, t_end, direction, atol, rtol)
     rejected = np.zeros(count, dtype=bool)
     g = y[2:3] - plane_arr  # plane-event values, empty without planes
     due = np.zeros(count, dtype=int)
@@ -805,7 +862,7 @@ def _ensemble_dop853(
         min_step = 10.0 * np.abs(np.nextafter(t, direction * np.inf) - t)
         h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
         t_new = t + direction * h_abs
-        t_new = np.where(direction * (t_new - t1) > 0, t1, t_new)
+        t_new = np.where(direction * (t_new - t_end) > 0, t_end, t_new)
         h = t_new - t
         K = np.empty((_N_STAGES + 1, n, live.size))
         K[0] = f
@@ -853,15 +910,17 @@ def _ensemble_dop853(
         y[:, accept] = y_new[:, accept]
         f[:, accept] = f_new[:, accept]
         out = accept & (np.max(np.abs(y), axis=0) > box)
-        stop = (accept & (direction * (t - t1) >= 0)) | out
-        stuck = rejected & (h_abs < min_step)
+        stop = (accept & (direction * (t - t_end) >= 0)) | out
+        # A NaN step size, from a non-finite state, counts as too small;
+        # the ``min_step`` test alone would retry it forever.
+        stuck = rejected & ~(h_abs >= min_step)
         stop |= stuck
         if stop.any():
             states[:, live[stop]] = y[:, stop]
             left_box[live[out]] = True
             failed[live[stuck]] = True
             keep = ~stop
-            live, t, y, f = live[keep], t[keep], y[:, keep], f[:, keep]
+            live, t, t_end, y, f = live[keep], t[keep], t_end[keep], y[:, keep], f[:, keep]
             h_abs, rejected, due, g = h_abs[keep], rejected[keep], due[keep], g[:, keep]
     return _EnsembleEnd(states, left_box, failed, cuts, paths)
 

@@ -276,15 +276,20 @@ def vector_field(p: PendulumParams, t, z) -> np.ndarray:
 
 
 def vector_field_jacobian(p: PendulumParams, z) -> np.ndarray:
-    """State Jacobian of :func:`vector_field` (independent of time)."""
-    z1 = float(z[0])
-    return np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [-math.cos(z1), -p.delta0, 1.0],
-            [-p.gamma, -p.delta1, -p.alpha],
-        ]
-    )
+    """State Jacobian of :func:`vector_field` (independent of time).
+
+    Also evaluates a batch: ``z`` of shape ``(3, N)`` gives the
+    ``(3, 3, N)`` array whose ``[:, :, j]`` is the Jacobian at column ``j``.
+    """
+    z1 = z[0]
+    jac = np.zeros((3, 3) + np.shape(z1))
+    jac[0, 1] = jac[1, 2] = 1.0
+    jac[1, 0] = -np.cos(z1)
+    jac[1, 1] = -p.delta0
+    jac[2, 0] = -p.gamma
+    jac[2, 1] = -p.delta1
+    jac[2, 2] = -p.alpha
+    return jac
 
 
 def calibrated_params(p: PendulumParams, omega_hat: float) -> tuple[PendulumParams, float]:

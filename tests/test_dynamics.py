@@ -1,6 +1,7 @@
 """Newton shooting on a forced linear oscillator with a closed-form orbit and
 on a multiple-shooting saddle; monodromy, fold detection, the batched flow
-contract, and manifold tracing against per-chain ``solve_ivp``."""
+contract, ensemble shooting legs and manifold tracing against per-leg and
+per-chain ``solve_ivp``."""
 
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ from doublezero.dynamics import (
     FlowSpec,
     ManifoldBranch,
     OrbitClass,
+    _integrate_legs,
+    _shooting_defect,
     detect_saddle_node,
     find_subharmonic,
     integrate,
@@ -26,6 +29,7 @@ from doublezero.dynamics import (
     scaled_flow,
     trace_manifolds,
 )
+from doublezero.errors import DomainError, NewtonDivergence
 from doublezero.fourier import TrigPolynomial, cosine
 from doublezero.melnikov import h_hat, separatrix_constants
 from doublezero.orbits import FamilyTag
@@ -39,7 +43,7 @@ JAC = np.array([[0.0, 1.0], [-1.0, -C]])
 
 def oscillator() -> FlowSpec:
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        return np.array([z[1], -z[0] - C * z[1] + math.cos(OMEGA * t)])
+        return np.array([z[1], -z[0] - C * z[1] + np.cos(OMEGA * t)])
 
     return FlowSpec(
         rhs=rhs, jacobian=lambda t, z: JAC, period=2.0 * math.pi / OMEGA, dim=2
@@ -108,14 +112,17 @@ def test_leg_product_monodromy_matches_a_full_period_integration(offset: float) 
         assert abs(lam - ref) < 1e-8 * abs(ref)
 
 
-@pytest.mark.parametrize("build", [
+FLOWS = [
     lambda: splitting_flow(0.3),
     lambda: scaled_flow(
         s1=-1, s2=1, nu1_sign=1, eps_hat=0.2, nu_hat=0.4, omega_hat=0.9,
         delta_big=0.7, forcing=TrigPolynomial({1: 0.8, 3: -0.2}, {2: 0.5}),
     ),
     pendulum_saddle_flow,
-])
+]
+
+
+@pytest.mark.parametrize("build", FLOWS)
 def test_rhs_evaluates_a_batch_column_by_column(build) -> None:
     flow = build()
     rng = np.random.default_rng(7)
@@ -127,6 +134,100 @@ def test_rhs_evaluates_a_batch_column_by_column(build) -> None:
     )
     assert batched.shape == (flow.dim, 9)
     assert np.max(np.abs(batched - columns)) <= 1e-15 * np.max(np.abs(columns))
+
+
+@pytest.mark.parametrize("build", FLOWS)
+def test_jacobian_evaluates_a_batch_column_by_column(build) -> None:
+    flow = build()
+    rng = np.random.default_rng(8)
+    states = rng.uniform(-1.5, 1.5, size=(flow.dim, 9))
+    times = rng.uniform(-3.0, 3.0, size=9)
+    batched = flow.jacobian(times, states)
+    columns = np.stack(
+        [flow.jacobian(float(t), states[:, j]) for j, t in enumerate(times)], axis=2
+    )
+    assert columns.shape == batched.shape == (flow.dim, flow.dim, 9)
+    assert np.max(np.abs(batched - columns)) <= 1e-15 * np.max(np.abs(columns))
+
+
+def variational_leg(flow: FlowSpec, state, t0: float, t1: float):
+    """End state and transition matrix of one leg, by a lone ``solve_ivp``."""
+    n = flow.dim
+
+    def aug(t, y):
+        jac = flow.jacobian(t, y[:n])
+        return np.concatenate([flow.rhs(t, y[:n]), (jac @ y[n:].reshape(n, n)).ravel()])
+
+    sol = solve_ivp(aug, (t0, t1), np.concatenate([state, np.eye(n).ravel()]),
+                    method="DOP853", rtol=flow.rel_tol, atol=flow.abs_tol)
+    assert sol.success
+    return sol.y[:n, -1], sol.y[n:, -1].reshape(n, n)
+
+
+def test_ensemble_legs_match_per_leg_integration() -> None:
+    # The eight legs of the right saddle of the separatrix-splitting
+    # experiment, each starting at its own time, in one ensemble call.
+    flow = splitting_flow(0.0)
+    saddle = find_subharmonic(flow, 1, (1.0, 0.0), segments=8)
+    times = np.linspace(0.0, flow.period, 9)
+    xs = np.stack([saddle.initial_state] + [
+        integrate(flow, saddle.initial_state, 0.0, float(t)) for t in times[1:-1]
+    ])
+    ends, phis = _integrate_legs(flow, xs, times, variational=True)
+    assert ends.shape == (8, 2) and phis.shape == (8, 2, 2)
+    for j in range(8):
+        end, phi = variational_leg(flow, xs[j], float(times[j]), float(times[j + 1]))
+        assert max_gap(ends[j], end) < 1e-12
+        assert np.max(np.abs(phis[j] - phi)) < 1e-10 * np.max(np.abs(phi))
+    plain, none = _integrate_legs(flow, xs, times, variational=False)
+    assert none is None
+    for j in range(8):
+        alone = integrate(flow, xs[j], float(times[j]), float(times[j + 1]))
+        assert max_gap(plain[j], alone) < 1e-12
+
+
+def blow_up_flow() -> FlowSpec:
+    """x' = x**2, y' = -y: from x0 > 0, x reaches infinity at t = 1/x0."""
+    def rhs(t, z):
+        return np.array([z[0] ** 2, -z[1]])
+
+    def jac(t, z):
+        zero = np.zeros_like(z[0])
+        return np.array([[2.0 * z[0], zero], [zero, zero - 1.0]])
+
+    return FlowSpec(rhs=rhs, jacobian=jac, period=1.0, dim=2)
+
+
+def test_a_failing_leg_ends_the_newton_sweep_and_the_trial() -> None:
+    flow = blow_up_flow()
+    times = np.array([0.0, 0.5, 1.0])
+    # Only the first leg blows up (at t = 0.25); the second is harmless.
+    assert _shooting_defect(flow, np.array([[4.0, 0.0], [0.1, 0.0]]), times) == math.inf
+    # A leg that starts at infinity fails at once instead of retrying a NaN step.
+    assert _shooting_defect(flow, np.array([[math.inf, 0.0], [0.1, 0.0]]), times) == math.inf
+    with pytest.raises(NewtonDivergence, match="integration broke down"):
+        find_subharmonic(flow, 1, (4.0, 0.0), segments=2)
+    for segments in (1, 2):
+        with pytest.raises(DomainError, match="finite"):
+            find_subharmonic(flow, 1, (math.nan, 0.0), segments=segments)
+
+
+def test_two_saddle_solves_stay_within_an_rhs_budget() -> None:
+    # The per-leg solve_ivp path made 4,256 rhs calls here; the ensemble
+    # shares one call among all legs of a sweep.
+    flow = splitting_flow(0.3)
+    calls = 0
+
+    def counted(t, z):
+        nonlocal calls
+        calls += 1
+        return flow.rhs(t, z)
+
+    counted_flow = replace(flow, rhs=counted)
+    for guess in ((1.0, 0.0), (-1.0, 0.0)):
+        res = find_subharmonic(counted_flow, 1, guess, segments=8)
+        assert res.classification is OrbitClass.SADDLE
+    assert calls <= 600
 
 
 @pytest.mark.parametrize("build", [
