@@ -87,6 +87,10 @@ _CONTRACTION_CUT = 50.0
 #: Strobe increment below which a chain is sitting on a periodic point.
 _FIXED_POINT_TOL = 1e-12
 
+#: A backtracking trial escapes past this factor times its largest
+#: component (at least one); see ``_shooting_defect``.
+_TRIAL_ESCAPE = 1e3
+
 _N_STAGES = _DOP853.N_STAGES
 #: Step-size factors scale with the error norm to this power.
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
@@ -106,6 +110,12 @@ class FlowSpec:
     ``j``; a Jacobian that does not depend on the state may return one
     ``(dim, dim)`` matrix instead.  The ensemble integrator that moves
     manifold chains and multiple-shooting legs calls them this way.
+    ``solve_ivp``, which integrates single trajectories and single
+    shooting, calls them on one ``(dim,)`` state at a time, a dozen times
+    per step, where NumPy's per-call overhead outweighs the arithmetic; so
+    a builder should compute such a call on Python floats, as
+    ``scaled_flow`` does, and return a ``(dim,)`` or ``(dim, dim)`` float64
+    array.  The batch contract is the same either way.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -153,17 +163,23 @@ def scaled_flow(
     eh, nh, dl, ph = float(eps_hat), float(nu_hat), float(delta_big), float(phase)
     om = float(omega_hat)
 
+    # One state (what ``solve_ivp`` passes) is computed in Python floats, a
+    # batch in arrays; both use the same operations in the same order.
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        z1, z2 = z[0], z[1]
+        z1, z2 = z.tolist() if z.ndim == 1 else z
         drive = nh * z2 + s2 * z1 * z1 * z2 + dl * forcing(om * t + ph)
         return np.array([z2, a * z1 + b * z1**3 + eh * drive])
 
     def jac(t: float, z: np.ndarray) -> np.ndarray:
-        z1, z2 = z[0], z[1]
+        z1, z2 = z.tolist() if z.ndim == 1 else z
+        j10 = a + 3.0 * b * z1 * z1 + 2.0 * eh * s2 * z1 * z2
+        j11 = eh * (nh + s2 * z1 * z1)
+        if z.ndim == 1:
+            return np.array([0.0, 1.0, j10, j11]).reshape(2, 2)
         out = np.zeros((2, 2) + np.shape(z1))
         out[0, 1] = 1.0
-        out[1, 0] = a + 3.0 * b * z1 * z1 + 2.0 * eh * s2 * z1 * z2
-        out[1, 1] = eh * (nh + s2 * z1 * z1)
+        out[1, 0] = j10
+        out[1, 1] = j11
         return out
 
     return FlowSpec(
@@ -275,9 +291,10 @@ def _transition(
 
     def aug_rhs(t: float, y: np.ndarray) -> np.ndarray:
         x = y[:n]
-        phi = y[n:].reshape(n, n)
-        jac = flow.jacobian(t, x)
-        return np.concatenate([flow.rhs(t, x), (jac @ phi).ravel()])
+        out = np.empty_like(y)
+        out[:n] = flow.rhs(t, x)
+        np.matmul(flow.jacobian(t, x), y[n:].reshape(n, n), out=out[n:].reshape(n, n))
+        return out
 
     y0 = np.concatenate([state, np.eye(n).ravel()])
     sol = _solve(aug_rhs, y0, t0, t1, flow.abs_tol, flow.rel_tol)
@@ -398,19 +415,25 @@ def find_subharmonic(
 
 
 def _integrate_legs(
-    flow: FlowSpec, xs: np.ndarray, times: np.ndarray, variational: bool
+    flow: FlowSpec,
+    xs: np.ndarray,
+    times: np.ndarray,
+    variational: bool,
+    box: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """End states of the legs ``xs[j]`` over ``[times[j], times[j + 1]]``.
 
     With ``variational`` the legs' transition matrices come back too, as a
     ``(count, dim, dim)`` array, else ``None``.  Several legs are integrated
-    together as one ensemble; a single leg goes through ``solve_ivp``, which
-    takes the same steps for it faster (see :func:`find_subharmonic`).
+    together as one ensemble; a single leg goes through SciPy's DOP853,
+    which takes the same steps for it faster (see :func:`find_subharmonic`).
+    Without ``variational`` a leg ends at its first accepted step outside
+    the box ``max|state| <= box``.
 
     Raises
     ------
     StepFailure
-        If the integration of any leg fails.
+        If the integration of any leg fails or leaves the box.
     """
     count, n = xs.shape
     if count == 1:
@@ -418,21 +441,36 @@ def _integrate_legs(
         if variational:
             end, phi = _transition(flow, xs[0], t0, t1)
             return end[None], phi[None]
-        return integrate(flow, xs[0], t0, t1)[None], None
+        return _leg_in_box(flow, xs[0], t0, t1, box)[None], None
     if variational:
         rhs = _variational_rhs(flow)
         y0 = np.concatenate([xs.T, np.repeat(np.eye(n).reshape(n * n, 1), count, axis=1)])
     else:
         rhs, y0 = flow.rhs, xs.T
-    end = _ensemble_dop853(rhs, y0, times[:-1], times[1:], flow.abs_tol, flow.rel_tol)
-    if end.failed.any():
-        j = int(np.flatnonzero(end.failed)[0])
-        raise StepFailure(
-            f"integration failed on [{times[j]}, {times[j + 1]}]: Required step "
-            f"size is less than spacing between numbers."
-        )
+    end = _ensemble_dop853(rhs, y0, times[:-1], times[1:], flow.abs_tol, flow.rel_tol,
+                           box=box)
+    if end.failed.any() or end.left_box.any():
+        j = int(np.flatnonzero(end.failed | end.left_box)[0])
+        why = ("Required step size is less than spacing between numbers."
+               if end.failed[j] else f"left the box max|state| <= {box:g}.")
+        raise StepFailure(f"integration failed on [{times[j]}, {times[j + 1]}]: {why}")
     phis = end.states[n:].T.reshape(count, n, n) if variational else None
     return end.states[:n].T, phis
+
+
+def _leg_in_box(flow: FlowSpec, state: np.ndarray, t0: float, t1: float,
+                box: float) -> np.ndarray:
+    """:func:`integrate`'s DOP853 steps, ended at the first one outside the box."""
+    solver = DOP853(flow.rhs, t0, state, t1, rtol=flow.rel_tol, atol=flow.abs_tol)
+    while solver.status == "running":
+        message = solver.step()
+        if np.max(np.abs(solver.y)) > box:
+            raise StepFailure(
+                f"integration failed on [{t0}, {t1}]: left the box max|state| <= {box:g}."
+            )
+    if solver.status == "failed":
+        raise StepFailure(f"integration failed on [{t0}, {t1}]: {message}")
+    return solver.y
 
 
 def _variational_rhs(flow: FlowSpec):
@@ -449,8 +487,18 @@ def _variational_rhs(flow: FlowSpec):
 
 
 def _shooting_defect(flow: FlowSpec, xs: np.ndarray, times: np.ndarray) -> float:
+    """Largest leg defect of a backtracking trial; ``inf`` if a leg fails or escapes.
+
+    A leg escapes when it leaves the box ``max|state| <= box``, ``box``
+    being ``_TRIAL_ESCAPE`` times the trial's largest component (at least
+    one), and the trial is then rejected whatever its end.  In the cubic
+    scaled flow such a leg is on its way to a finite-time blow-up, and
+    following it down to the integrator's step-size floor cost about 5,400
+    right-hand-side evaluations, where a whole period takes about 300.
+    """
+    box = _TRIAL_ESCAPE * max(1.0, float(np.max(np.abs(xs))))
     try:
-        ends, _ = _integrate_legs(flow, xs, times, variational=False)
+        ends, _ = _integrate_legs(flow, xs, times, variational=False, box=box)
     except StepFailure:
         return math.inf
     return float(np.max(np.abs(ends - np.roll(xs, -1, axis=0))))
@@ -953,9 +1001,10 @@ def divergence_integral(flow: FlowSpec, state, m: int) -> float:
 
     def aug_rhs(t: float, y: np.ndarray) -> np.ndarray:
         x = y[:n]
-        return np.concatenate(
-            [flow.rhs(t, x), [float(np.trace(flow.jacobian(t, x)))]]
-        )
+        out = np.empty_like(y)
+        out[:n] = flow.rhs(t, x)
+        out[n] = flow.jacobian(t, x).trace()
+        return out
 
     y0 = np.concatenate([np.asarray(state, dtype=float), [0.0]])
     sol = _solve(aug_rhs, y0, 0.0, m * flow.period, flow.abs_tol, flow.rel_tol)

@@ -88,15 +88,27 @@ class TrigPolynomial:
 
     # -- evaluation -------------------------------------------------------
     def __call__(self, phi):
-        """Evaluate at ``phi`` (scalar or ndarray)."""
+        """Evaluate at ``phi`` (scalar or ndarray).
+
+        A Python number, a NumPy scalar or a 0-d array returns a ``float``,
+        summed term by term in Python floats with ``math.cos`` and
+        ``math.sin``: an integrator calls the forcing this way once per
+        right-hand side.  Any other input returns an array of its shape.
+        """
+        if isinstance(phi, (float, int)) or getattr(phi, "ndim", None) == 0:
+            x = float(phi)
+            total = 0.0
+            for j, v in self.cos_terms:
+                total = total + v * math.cos(j * x)
+            for j, v in self.sin_terms:
+                total = total + v * math.sin(j * x)
+            return total
         arr = np.asarray(phi, dtype=float)
         out = np.zeros_like(arr)
         for j, v in self.cos_terms:
             out = out + v * np.cos(j * arr)
         for j, v in self.sin_terms:
             out = out + v * np.sin(j * arr)
-        if np.isscalar(phi) or arr.ndim == 0:
-            return float(out)
         return out
 
     def derivative(self) -> "TrigPolynomial":

@@ -21,6 +21,7 @@ from doublezero.dynamics import (
     _integrate_legs,
     _shooting_defect,
     detect_saddle_node,
+    divergence_integral,
     find_subharmonic,
     integrate,
     liouville_defect,
@@ -29,7 +30,7 @@ from doublezero.dynamics import (
     scaled_flow,
     trace_manifolds,
 )
-from doublezero.errors import DomainError, NewtonDivergence
+from doublezero.errors import DomainError, NewtonDivergence, StepFailure
 from doublezero.fourier import TrigPolynomial, cosine
 from doublezero.melnikov import h_hat, separatrix_constants
 from doublezero.orbits import FamilyTag
@@ -69,6 +70,13 @@ def test_shooting_recovers_the_closed_form_orbit(segments: int) -> None:
     assert liouville_defect(flow, res) < 1e-8
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_divergence_integral_of_a_linear_flow_is_its_trace_times_the_time(m: int) -> None:
+    flow = oscillator()
+    integral = divergence_integral(flow, (0.5, -0.2), m)
+    assert abs(integral - np.trace(JAC) * m * flow.period) <= 1e-12
+
+
 def test_single_shooting_returns_the_full_period_monodromy() -> None:
     flow = oscillator()
     res = find_subharmonic(flow, 1, (0.5, -0.2))
@@ -77,18 +85,24 @@ def test_single_shooting_returns_the_full_period_monodromy() -> None:
     assert res.residual == float(np.max(np.abs(xf - res.initial_state)))
 
 
-def splitting_flow(offset: float, **kwargs) -> FlowSpec:
-    """The separatrix-splitting flow at ``offset`` half-widths from its window's center."""
+def splitting_params(offset: float) -> dict:
+    """``scaled_flow`` arguments of the separatrix-splitting flow at ``offset``
+    half-widths from its window's center."""
     omega_hat = 1.4
     forcing = cosine(1.0)
     profile = h_hat(forcing, FamilyTag.HET_PAIR, omega_hat)
     c1, c2 = separatrix_constants(FamilyTag.HET_PAIR)
     center = -(c2 + 0.5 * (profile.hmax + profile.hmin)) / c1
     halfwidth = 0.5 * (profile.hmax - profile.hmin) / c1
-    return scaled_flow(
+    return dict(
         s1=1, s2=1, nu1_sign=-1, eps_hat=0.05, nu_hat=center + offset * halfwidth,
-        omega_hat=omega_hat, delta_big=1.0, forcing=forcing, **kwargs,
+        omega_hat=omega_hat, delta_big=1.0, forcing=forcing,
     )
+
+
+def splitting_flow(offset: float, **kwargs) -> FlowSpec:
+    """The separatrix-splitting flow at ``offset`` half-widths from its window's center."""
+    return scaled_flow(**splitting_params(offset), **kwargs)
 
 
 def pendulum_saddle_flow() -> FlowSpec:
@@ -112,14 +126,46 @@ def test_leg_product_monodromy_matches_a_full_period_integration(offset: float) 
         assert abs(lam - ref) < 1e-8 * abs(ref)
 
 
+SPLITTING = splitting_params(0.3)
+GENERIC = dict(
+    s1=-1, s2=1, nu1_sign=1, eps_hat=0.2, nu_hat=0.4, omega_hat=0.9,
+    delta_big=0.7, forcing=TrigPolynomial({1: 0.8, 3: -0.2}, {2: 0.5}),
+)
 FLOWS = [
-    lambda: splitting_flow(0.3),
-    lambda: scaled_flow(
-        s1=-1, s2=1, nu1_sign=1, eps_hat=0.2, nu_hat=0.4, omega_hat=0.9,
-        delta_big=0.7, forcing=TrigPolynomial({1: 0.8, 3: -0.2}, {2: 0.5}),
-    ),
+    lambda: scaled_flow(**SPLITTING),
+    lambda: scaled_flow(**GENERIC),
     pendulum_saddle_flow,
 ]
+#: ``scaled_flow`` arguments of the builders in ``FLOWS`` that are scaled flows.
+SCALED_ARGS = {FLOWS[0]: SPLITTING, FLOWS[1]: GENERIC}
+
+
+def scaled_model(args: dict, t: float, z1: float, z2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side and Jacobian of the rescaled planar system, written out."""
+    forcing, phi = args["forcing"], args["omega_hat"] * t
+    h = sum(v * math.cos(j * phi) for j, v in forcing.cos_terms) + sum(
+        v * math.sin(j * phi) for j, v in forcing.sin_terms
+    )
+    eps, nu, s1, s2 = args["eps_hat"], args["nu_hat"], args["s1"], args["s2"]
+    zeta2_dot = (args["nu1_sign"] * z1 + s1 * z1**3
+                 + eps * (nu * z2 + s2 * z1**2 * z2 + args["delta_big"] * h))
+    jac = [[0.0, 1.0],
+           [args["nu1_sign"] + 3.0 * s1 * z1**2 + 2.0 * eps * s2 * z1 * z2,
+            eps * (nu + s2 * z1**2)]]
+    return np.array([z2, zeta2_dot]), np.array(jac)
+
+
+def assert_single_state_call(build, flow: FlowSpec, t: float, state: np.ndarray,
+                             which: int) -> np.ndarray:
+    """One-state ``rhs`` (``which=0``) or ``jacobian`` (``which=1``): a float64
+    array of the documented shape, matching the written-out scaled model."""
+    value = (flow.rhs, flow.jacobian)[which](t, state)
+    assert isinstance(value, np.ndarray) and value.dtype == np.float64
+    assert value.shape == (flow.dim,) * (which + 1)
+    if build in SCALED_ARGS:
+        model = scaled_model(SCALED_ARGS[build], t, *state.tolist())[which]
+        assert np.max(np.abs(value - model)) <= 1e-15 * np.max(np.abs(model))
+    return value
 
 
 @pytest.mark.parametrize("build", FLOWS)
@@ -130,7 +176,8 @@ def test_rhs_evaluates_a_batch_column_by_column(build) -> None:
     times = rng.uniform(-3.0, 3.0, size=9)
     batched = flow.rhs(times, states)
     columns = np.stack(
-        [flow.rhs(float(t), states[:, j]) for j, t in enumerate(times)], axis=1
+        [assert_single_state_call(build, flow, float(t), states[:, j], 0)
+         for j, t in enumerate(times)], axis=1
     )
     assert batched.shape == (flow.dim, 9)
     assert np.max(np.abs(batched - columns)) <= 1e-15 * np.max(np.abs(columns))
@@ -144,7 +191,8 @@ def test_jacobian_evaluates_a_batch_column_by_column(build) -> None:
     times = rng.uniform(-3.0, 3.0, size=9)
     batched = flow.jacobian(times, states)
     columns = np.stack(
-        [flow.jacobian(float(t), states[:, j]) for j, t in enumerate(times)], axis=2
+        [assert_single_state_call(build, flow, float(t), states[:, j], 1)
+         for j, t in enumerate(times)], axis=2
     )
     assert columns.shape == batched.shape == (flow.dim, flow.dim, 9)
     assert np.max(np.abs(batched - columns)) <= 1e-15 * np.max(np.abs(columns))
@@ -211,6 +259,37 @@ def test_a_failing_leg_ends_the_newton_sweep_and_the_trial() -> None:
         with pytest.raises(DomainError, match="finite"):
             find_subharmonic(flow, 1, (math.nan, 0.0), segments=segments)
 
+
+
+def test_an_escaping_trial_ends_at_its_box() -> None:
+    # From x = 4 the blow-up comes at t = 0.25; the trial's box (4,000)
+    # ends the leg long before the integrator's step size would collapse.
+    calls = 0
+
+    def counted(t, z):
+        nonlocal calls
+        calls += 1
+        return blow_up_flow().rhs(t, z)
+
+    flow = replace(blow_up_flow(), rhs=counted)
+    with pytest.raises(StepFailure, match="spacing between numbers"):
+        integrate(flow, np.array([4.0, 0.0]), 0.0, 1.0)
+    unboxed, calls = calls, 0
+    assert _shooting_defect(flow, np.array([[4.0, 0.0]]), np.array([0.0, 1.0])) == math.inf
+    assert 0 < calls < unboxed / 3
+    for xs, times in (([[4.0, 0.0]], [0.0, 1.0]), ([[4.0, 0.0], [0.1, 0.0]], [0.0, 0.5, 1.0])):
+        with pytest.raises(StepFailure, match="left the box"):
+            _integrate_legs(flow, np.array(xs), np.array(times), variational=False, box=10.0)
+
+
+def test_a_lone_trial_leg_takes_the_steps_of_integrate() -> None:
+    flow = splitting_flow(0.0)
+    state = np.array([0.3, -0.1])
+    times = np.array([0.0, flow.period])
+    alone = integrate(flow, state, 0.0, flow.period)
+    end, none = _integrate_legs(flow, state[None], times, variational=False)
+    assert none is None and np.array_equal(end[0], alone)
+    assert _shooting_defect(flow, state[None], times) == float(np.max(np.abs(alone - state)))
 
 def test_two_saddle_solves_stay_within_an_rhs_budget() -> None:
     # The per-leg solve_ivp path made 4,256 rhs calls here; the ensemble

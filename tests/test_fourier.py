@@ -27,6 +27,30 @@ def test_vectorised_evaluation_matches_scalar() -> None:
         assert value == pytest.approx(poly(float(phi)), abs=1e-15)
 
 
+def test_scalar_inputs_return_floats_near_the_direct_sum() -> None:
+    poly = TrigPolynomial({0: 0.4, 1: 1.0, 3: -0.2}, {2: 0.7})
+    for phi in np.linspace(-7.0, 7.0, 41):
+        direct = 0.4 + math.cos(phi) - 0.2 * math.cos(3 * phi) + 0.7 * math.sin(2 * phi)
+        for arg in (float(phi), np.float64(phi), np.array(phi)):
+            value = poly(arg)
+            assert type(value) is float
+            assert abs(value - direct) <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (5,), (0,)])
+@pytest.mark.parametrize(
+    "poly", [TrigPolynomial({1: 0.3}, {1: -1.1, 4: 0.05}), TrigPolynomial()]
+)
+def test_array_inputs_return_arrays_of_their_shape(poly: TrigPolynomial, shape) -> None:
+    phi = np.random.default_rng(2).uniform(-7.0, 7.0, size=shape)
+    values = poly(phi)
+    assert isinstance(values, np.ndarray) and values.shape == shape
+    if poly.is_zero():
+        assert not values.any()
+    for p, value in zip(phi.ravel(), values.ravel()):
+        assert abs(value - poly(float(p))) <= 1e-15
+
+
 def test_derivative_matches_finite_differences() -> None:
     poly = TrigPolynomial({1: 1.2, 2: -0.3}, {1: 0.5, 3: 0.1})
     deriv = poly.derivative()
