@@ -41,7 +41,6 @@ import sys
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bifurcation import (
     heteroclinic_curves,
@@ -606,22 +605,18 @@ def _report(name: str, parameters: dict, checks: list[dict], **extra) -> dict:
     return report
 
 
-def _quad_over(f: Callable[[float], float], lo: float, hi: float) -> float:
-    value, _ = quad(f, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-13)
-    return value
-
-
 #: Trapezoid-rule samples per period in ``experiment_jintegrals``.
 _QUADRATURE_SAMPLES = 2048
 
-
-def _periodic_quadrature(values: np.ndarray, period_t: float) -> float:
-    """Full-period integral of uniform samples (trapezoid rule, spectrally accurate here)."""
-    return float(np.sum(values)) * period_t / values.size
+#: Trapezoid-rule nodes for the separatrix kernels.  The kernels decay
+#: exponentially, below 1e-25 at +/-42, so the truncation and the end
+#: weights are negligible and the rule converges exponentially.
+_KERNEL_NODES = np.linspace(-42.0, 42.0, 1025)
+_KERNEL_STEP = float(_KERNEL_NODES[1] - _KERNEL_NODES[0])
 
 
 def experiment_jintegrals(*, grid: int = 20, rtol: float = 1e-9) -> dict:
-    """Closed-form orbit integrals and splitting constants vs quadrature."""
+    """Closed-form orbit integrals and splitting constants vs the trapezoid rule."""
     if grid < 2:
         raise DomainError(f"grid must be >= 2, got {grid}")
     checks = []
@@ -632,11 +627,11 @@ def experiment_jintegrals(*, grid: int = 20, rtol: float = 1e-9) -> dict:
         worst = 0.0
         for k in np.linspace(lo + inset, hi - inset, grid):
             k = float(k)
-            t_k = period(tag, k)
+            step = period(tag, k) / _QUADRATURE_SAMPLES
             j = j_integrals(tag, k, 1)
-            pt = evaluate(tag, k, np.arange(_QUADRATURE_SAMPLES) * (t_k / _QUADRATURE_SAMPLES))
+            pt = evaluate(tag, k, np.arange(_QUADRATURE_SAMPLES) * step)
             z1sq, z2sq = pt.zeta1 ** 2, pt.zeta2 ** 2
-            quads = [_periodic_quadrature(v, t_k) for v in (z2sq, z1sq * z2sq, z1sq)]
+            quads = [float(np.sum(v)) * step for v in (z2sq, z1sq * z2sq, z1sq)]
             for closed, numeric in zip((j.j1, j.j2, j.j3), quads):
                 worst = max(worst, abs(closed - numeric) / max(abs(numeric), 1e-300))
         checks.append(_check(f"{name} closed forms vs quadrature", worst, rtol))
@@ -651,11 +646,9 @@ def experiment_jintegrals(*, grid: int = 20, rtol: float = 1e-9) -> dict:
     for name in ("het", "hom"):
         tag = _family_tag(name)
         c1, c2 = separatrix_constants(tag)
-        q1 = _quad_over(lambda t: evaluate(tag, None, t).zeta2 ** 2, -40.0, 40.0)
-        q2 = _quad_over(
-            lambda t: (lambda pt: pt.zeta1 ** 2 * pt.zeta2 ** 2)(evaluate(tag, None, t)),
-            -40.0, 40.0,
-        )
+        pt = evaluate(tag, None, _KERNEL_NODES)
+        q1 = float(np.sum(pt.zeta2 ** 2)) * _KERNEL_STEP
+        q2 = float(np.sum(pt.zeta1 ** 2 * pt.zeta2 ** 2)) * _KERNEL_STEP
         worst = max(abs(c1 - q1) / abs(q1), abs(c2 - q2) / abs(q2))
         checks.append(_check(f"{name} splitting constants vs quadrature", worst, rtol))
     return _report("jintegrals", {"grid": grid, "rtol": rtol}, checks)
@@ -685,23 +678,24 @@ def experiment_hhat(
     max_m: int = 5,
     max_n: int = 3,
 ) -> dict:
-    """Spectral projection weights and resonant selection rules."""
+    """Spectral projection weights and resonant selection rules.
+
+    The weights are checked against trapezoid-rule transforms of the
+    separatrix velocity kernels.  Raises `DomainError` if ``chi_count``,
+    ``max_m`` or ``max_n`` is below 1, where a check would test nothing.
+    """
+    for name, value in (("chi_count", chi_count), ("max_m", max_m), ("max_n", max_n)):
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
     checks = []
-    span = 42.0
-    worst_het = 0.0
-    worst_hom = 0.0
-    for chi in np.linspace(0.1, 5.0, chi_count):
-        chi = float(chi)
-        wq, _ = quad(
-            lambda t: evaluate(FamilyTag.HET_PAIR, None, t).zeta2,
-            -span, span, weight="cos", wvar=chi, limit=400,
-        )
-        worst_het = max(worst_het, abs(fourier_weight_het(chi) - wq))
-        uq, _ = quad(
-            lambda t: evaluate(FamilyTag.HOM_PAIR, None, t).zeta2,
-            -span, span, weight="sin", wvar=chi, limit=400,
-        )
-        worst_hom = max(worst_hom, abs(fourier_weight_hom(chi) + uq))
+    chis = np.linspace(0.1, 5.0, chi_count)
+    phases = np.outer(chis, _KERNEL_NODES)
+    het = evaluate(FamilyTag.HET_PAIR, None, _KERNEL_NODES).zeta2
+    hom = evaluate(FamilyTag.HOM_PAIR, None, _KERNEL_NODES).zeta2
+    wq = np.cos(phases) @ het * _KERNEL_STEP
+    uq = np.sin(phases) @ hom * _KERNEL_STEP
+    worst_het = max(abs(fourier_weight_het(float(c)) - w) for c, w in zip(chis, wq))
+    worst_hom = max(abs(fourier_weight_hom(float(c)) + u) for c, u in zip(chis, uq))
     checks.append(_check("saddle-connection weight vs kernel quadrature", worst_het, weight_tol))
     checks.append(_check("saddle-loop weight vs kernel quadrature", worst_hom, weight_tol))
 

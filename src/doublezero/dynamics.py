@@ -8,8 +8,8 @@ stable/unstable manifold traces of saddle orbits seeded along Floquet
 eigendirections.
 
 Single trajectories, and the variational equations of single shooting,
-are integrated by SciPy's ``solve_ivp`` (DOP853).  Everything that moves
-many states at once goes through an in-module NumPy DOP853 ensemble that
+are stepped by SciPy's ``DOP853`` class.  Everything that moves many
+states at once goes through an in-module NumPy DOP853 ensemble that
 applies SciPy's step-size rules to every member separately: the legs of a
 multiple-shooting Newton iterate, each carrying its variational columns,
 and the chains of a manifold branch, each of which ends as soon as it
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 from scipy.integrate._ivp import dop853_coefficients as _DOP853
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
 from scipy.optimize import brentq
@@ -110,9 +110,9 @@ class FlowSpec:
     ``j``; a Jacobian that does not depend on the state may return one
     ``(dim, dim)`` matrix instead.  The ensemble integrator that moves
     manifold chains and multiple-shooting legs calls them this way.
-    ``solve_ivp``, which integrates single trajectories and single
-    shooting, calls them on one ``(dim,)`` state at a time, a dozen times
-    per step, where NumPy's per-call overhead outweighs the arithmetic; so
+    The single-trajectory stepper, which also runs single shooting, calls
+    them on one ``(dim,)`` state at a time, a dozen times per step, where
+    NumPy's per-call overhead outweighs the arithmetic; so
     a builder should compute such a call on Python floats, as
     ``scaled_flow`` does, and return a ``(dim,)`` or ``(dim, dim)`` float64
     array.  The batch contract is the same either way.
@@ -163,7 +163,7 @@ def scaled_flow(
     eh, nh, dl, ph = float(eps_hat), float(nu_hat), float(delta_big), float(phase)
     om = float(omega_hat)
 
-    # One state (what ``solve_ivp`` passes) is computed in Python floats, a
+    # One state (what ``_dop853`` passes) is computed in Python floats, a
     # batch in arrays; both use the same operations in the same order.
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
         z1, z2 = z.tolist() if z.ndim == 1 else z
@@ -219,21 +219,32 @@ def pendulum_flow(
     )
 
 
-def _solve(rhs, state0, t0: float, t1: float, abs_tol: float, rel_tol: float,
-           t_eval=None):
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        np.asarray(state0, dtype=float),
-        method="DOP853",
-        rtol=rel_tol,
-        atol=abs_tol,
-        t_eval=t_eval,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise StepFailure(f"integration failed on [{t0}, {t1}]: {sol.message}")
-    return sol
+def _dop853(rhs, state0, t0: float, t1: float, abs_tol: float, rel_tol: float, *,
+            box: float = math.inf, t_eval=None) -> np.ndarray:
+    """Step SciPy's ``DOP853`` from ``t0`` to ``t1`` exactly as SciPy's own loop does.
+
+    Returns the state at ``t1`` or, for increasing ``t_eval`` in ``[t0, t1]``,
+    the ``(len(t_eval), dim)`` states read from each step's dense output.
+    Raises `StepFailure` if a step fails and, for a finite ``box``, at the
+    first accepted step with ``max|state| > box``.
+    """
+    solver = DOP853(rhs, float(t0), np.asarray(state0, dtype=float), float(t1),
+                    rtol=rel_tol, atol=abs_tol)
+    rows, due = [], 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepFailure(f"integration failed on [{t0}, {t1}]: {message}")
+        if box < math.inf and np.max(np.abs(solver.y)) > box:
+            raise StepFailure(
+                f"integration failed on [{t0}, {t1}]: left the box max|state| <= {box:g}."
+            )
+        if t_eval is not None:
+            upto = int(np.searchsorted(t_eval, solver.t, side="right"))
+            if upto > due:
+                rows.append(solver.dense_output()(t_eval[due:upto]))
+                due = upto
+    return solver.y if t_eval is None else np.hstack(rows).T
 
 
 def integrate(flow: FlowSpec, state0, t0: float, t1: float) -> np.ndarray:
@@ -251,7 +262,7 @@ def integrate(flow: FlowSpec, state0, t0: float, t1: float) -> np.ndarray:
         raise DomainError(f"need t1 >= t0, got [{t0}, {t1}]")
     if t1 == t0:
         return np.asarray(state0, dtype=float).copy()
-    return _solve(flow.rhs, state0, t0, t1, flow.abs_tol, flow.rel_tol).y[:, -1].copy()
+    return _dop853(flow.rhs, state0, t0, t1, flow.abs_tol, flow.rel_tol)
 
 
 def trajectory(
@@ -267,8 +278,7 @@ def trajectory(
     if not (t1 > t0):
         raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
     ts = np.linspace(t0, t1, samples)
-    sol = _solve(flow.rhs, state0, t0, t1, flow.abs_tol, flow.rel_tol, t_eval=ts)
-    return ts, sol.y.T.copy()
+    return ts, _dop853(flow.rhs, state0, t0, t1, flow.abs_tol, flow.rel_tol, t_eval=ts)
 
 
 def poincare_map(flow: FlowSpec, state, iterates: int) -> list[np.ndarray]:
@@ -297,9 +307,8 @@ def _transition(
         return out
 
     y0 = np.concatenate([state, np.eye(n).ravel()])
-    sol = _solve(aug_rhs, y0, t0, t1, flow.abs_tol, flow.rel_tol)
-    yf = sol.y[:, -1]
-    return yf[:n].copy(), yf[n:].reshape(n, n).copy()
+    yf = _dop853(aug_rhs, y0, t0, t1, flow.abs_tol, flow.rel_tol)
+    return yf[:n], yf[n:].reshape(n, n)
 
 
 def monodromy(flow: FlowSpec, state, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -378,8 +387,8 @@ def find_subharmonic(
     by the full-period multiplier and the first integration can escape.
     The legs of each Newton iterate, with their variational columns, and
     the legs of each backtracking trial are integrated together as one
-    DOP853 ensemble, every leg under its own step control.  A single leg is
-    integrated by ``solve_ivp``: one ensemble member takes the same steps
+    DOP853 ensemble, every leg under its own step control.  A single leg
+    runs SciPy's DOP853 stepper: one ensemble member takes the same steps
     but pays the ensemble's per-step bookkeeping for a single stage call,
     which made one period of the pendulum flow 2 to 3 times slower.
     The returned ``residual`` is the largest leg defect of the converged
@@ -425,7 +434,7 @@ def _integrate_legs(
 
     With ``variational`` the legs' transition matrices come back too, as a
     ``(count, dim, dim)`` array, else ``None``.  Several legs are integrated
-    together as one ensemble; a single leg goes through SciPy's DOP853,
+    together as one ensemble; a single leg goes through :func:`_dop853`,
     which takes the same steps for it faster (see :func:`find_subharmonic`).
     Without ``variational`` a leg ends at its first accepted step outside
     the box ``max|state| <= box``.
@@ -441,7 +450,8 @@ def _integrate_legs(
         if variational:
             end, phi = _transition(flow, xs[0], t0, t1)
             return end[None], phi[None]
-        return _leg_in_box(flow, xs[0], t0, t1, box)[None], None
+        end = _dop853(flow.rhs, xs[0], t0, t1, flow.abs_tol, flow.rel_tol, box=box)
+        return end[None], None
     if variational:
         rhs = _variational_rhs(flow)
         y0 = np.concatenate([xs.T, np.repeat(np.eye(n).reshape(n * n, 1), count, axis=1)])
@@ -456,21 +466,6 @@ def _integrate_legs(
         raise StepFailure(f"integration failed on [{times[j]}, {times[j + 1]}]: {why}")
     phis = end.states[n:].T.reshape(count, n, n) if variational else None
     return end.states[:n].T, phis
-
-
-def _leg_in_box(flow: FlowSpec, state: np.ndarray, t0: float, t1: float,
-                box: float) -> np.ndarray:
-    """:func:`integrate`'s DOP853 steps, ended at the first one outside the box."""
-    solver = DOP853(flow.rhs, t0, state, t1, rtol=flow.rel_tol, atol=flow.abs_tol)
-    while solver.status == "running":
-        message = solver.step()
-        if np.max(np.abs(solver.y)) > box:
-            raise StepFailure(
-                f"integration failed on [{t0}, {t1}]: left the box max|state| <= {box:g}."
-            )
-    if solver.status == "failed":
-        raise StepFailure(f"integration failed on [{t0}, {t1}]: {message}")
-    return solver.y
 
 
 def _variational_rhs(flow: FlowSpec):
@@ -872,12 +867,12 @@ def _ensemble_dop853(
     members run in one time direction.  Every column is one member that
     follows SciPy's DOP853 rules on its own: initial step, error norm, step
     controller and the ``min_step`` failure, so it takes the steps
-    ``solve_ivp`` would take for it alone, up to rounding.  The members
+    :func:`_dop853` would take for it alone, up to rounding.  The members
     share each stage's right-hand-side call, ``rhs(t, Y)`` with ``t`` of
     shape ``(N,)`` and ``Y`` of shape ``(dim, N)``.  A member ends at its
     ``t1``, at its first accepted step with ``max|state| > box``, or on step
     failure.  Plane crossings ``state_3 = c`` are located by ``brentq`` on
-    the step's DOP853 interpolant (as ``solve_ivp`` locates events), and
+    the step's DOP853 interpolant (as SciPy locates events), and
     ``samples > 1`` evenly spaced times after ``t0`` are read from it too
     (both need scalar times); the interpolant's three extra stages are built
     only for steps that need one.
@@ -1007,8 +1002,7 @@ def divergence_integral(flow: FlowSpec, state, m: int) -> float:
         return out
 
     y0 = np.concatenate([np.asarray(state, dtype=float), [0.0]])
-    sol = _solve(aug_rhs, y0, 0.0, m * flow.period, flow.abs_tol, flow.rel_tol)
-    return float(sol.y[-1, -1])
+    return float(_dop853(aug_rhs, y0, 0.0, m * flow.period, flow.abs_tol, flow.rel_tol)[-1])
 
 
 def liouville_defect(flow: FlowSpec, result: PeriodicOrbitResult) -> float:

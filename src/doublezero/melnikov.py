@@ -11,8 +11,9 @@ and subharmonic bifurcation functions are
 where ``h_hat`` / ``h_hat_mn`` are the projections of the forcing profile
 onto the orbit's velocity component and ``J1, J2, J3`` are the orbit
 integrals of ``zeta2**2``, ``zeta1**2 * zeta2**2`` and ``zeta1**2`` over
-``n`` periods.  Everything here is closed-form or spectrally exact; the
-independent quadrature oracles live in the test suite.
+``n`` periods.  Everything here is closed-form or spectrally exact.  The
+``verify`` experiments check it against trapezoid rules on sampled orbits,
+and the independent adaptive-quadrature oracles live in the test suite.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .elliptic import (
     K_MODULUS_CUTOFF,
@@ -328,17 +327,13 @@ def energy(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
 
 
 def action(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
-    """Action ``I = (1/2pi) * integral of zeta2**2 over one period`` (by quadrature)."""
+    """Action ``I = (1/2pi) * integral of zeta2**2 over one period``, by the
+    periodic trapezoid rule on 2048 samples (exponentially convergent here)."""
     fam = _as_kind(family)
     _require_periodic(fam)
     kv = _checked_modulus(fam, k)
-    t_period = period(fam, kv)
-
-    def zeta2_sq(t: float) -> float:
-        return evaluate(fam, kv, t).zeta2 ** 2
-
-    value, _ = integrate.quad(zeta2_sq, 0.0, t_period, limit=200, epsabs=1e-13, epsrel=1e-12)
-    return value / (2.0 * math.pi)
+    ts, step = np.linspace(0.0, period(fam, kv), 2048, endpoint=False, retstep=True)
+    return float(np.sum(evaluate(fam, kv, ts).zeta2 ** 2)) * step / (2.0 * math.pi)
 
 
 def freq_action_derivative_sign(family: FamilyKind | FamilyTag) -> int:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from doublezero.cli import experiment_hhat, experiment_jintegrals, experiment_manifold_splitting
+from doublezero.errors import DomainError
 
 
 def test_manifold_splitting_runs_at_full_depth_with_few_chains() -> None:
@@ -36,3 +39,15 @@ def test_hhat_passes_at_low_order() -> None:
     assert len(report["checks"]) == 4
     assert all(c["passed"] for c in report["checks"])
     assert report["passed"]
+
+
+@pytest.mark.parametrize("sizes", [
+    {"chi_count": 0, "max_m": 0},
+    {"chi_count": 0},
+    {"max_m": 0},
+    {"max_n": 0},
+])
+def test_hhat_refuses_an_empty_check(sizes: dict) -> None:
+    # With no chi or no resonance the checks would measure nothing and pass.
+    with pytest.raises(DomainError):
+        experiment_hhat(**sizes)

@@ -1,7 +1,7 @@
-"""Newton shooting on a forced linear oscillator with a closed-form orbit and
-on a multiple-shooting saddle; monodromy, fold detection, the batched flow
-contract, ensemble shooting legs and manifold tracing against per-leg and
-per-chain ``solve_ivp``."""
+"""Trajectories, strobe maps and Newton shooting on a forced linear oscillator
+with a closed-form solution, and shooting on a multiple-shooting saddle;
+monodromy, fold detection, the batched flow contract, ensemble shooting legs
+and manifold tracing against per-leg and per-chain ``solve_ivp``."""
 
 from __future__ import annotations
 
@@ -27,8 +27,10 @@ from doublezero.dynamics import (
     liouville_defect,
     monodromy,
     pendulum_flow,
+    poincare_map,
     scaled_flow,
     trace_manifolds,
+    trajectory,
 )
 from doublezero.errors import DomainError, NewtonDivergence, StepFailure
 from doublezero.fourier import TrigPolynomial, cosine
@@ -58,6 +60,15 @@ def exact_orbit_state() -> np.ndarray:
     return np.array([a / d, OMEGA * b / d])
 
 
+def exact_state(state0, t: float) -> np.ndarray:
+    """State at time ``t`` of the trajectory through ``state0`` at t = 0."""
+    def forced(t: float) -> np.ndarray:
+        w = np.exp(1j * OMEGA * t) / (1.0 - OMEGA**2 + 1j * C * OMEGA)
+        return np.array([w.real, (1j * OMEGA * w).real])
+
+    return forced(t) + expm(JAC * t) @ (np.asarray(state0) - forced(0.0))
+
+
 @pytest.mark.parametrize("segments", [1, 4])
 def test_shooting_recovers_the_closed_form_orbit(segments: int) -> None:
     flow = oscillator()
@@ -68,6 +79,28 @@ def test_shooting_recovers_the_closed_form_orbit(segments: int) -> None:
     assert res.residual < tol
     assert res.classification is OrbitClass.SINK
     assert liouville_defect(flow, res) < 1e-8
+
+
+def test_trajectory_samples_the_closed_form_solution() -> None:
+    flow = oscillator()
+    state0 = np.array([0.5, -0.2])
+    t1 = 2.5 * flow.period
+    ts, states = trajectory(flow, state0, 0.0, t1, 41)
+    assert np.array_equal(ts, np.linspace(0.0, t1, 41))
+    assert states.shape == (41, 2)
+    assert np.array_equal(states[0], state0)
+    for t, row in zip(ts, states):
+        assert np.max(np.abs(row - exact_state(state0, t))) < 1e-8
+    assert np.max(np.abs(states[-1] - integrate(flow, state0, 0.0, t1))) < 1e-12
+
+
+def test_poincare_map_strobes_the_closed_form_solution() -> None:
+    flow = oscillator()
+    state0 = np.array([0.5, -0.2])
+    points = poincare_map(flow, state0, 4)
+    assert len(points) == 4
+    for i, point in enumerate(points, start=1):
+        assert np.max(np.abs(point - exact_state(state0, i * flow.period))) < 1e-8
 
 
 @pytest.mark.parametrize("m", [1, 2])

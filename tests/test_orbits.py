@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from doublezero.errors import DomainError, NoResonance, ResonanceViolation
+from doublezero.melnikov import j_integrals
 from doublezero.orbits import (
     PAIRED_TAGS,
     PERIODIC_TAGS,
@@ -222,6 +223,17 @@ def test_action_energy_frequency_relation() -> None:
         d_action = action(tag, k + h) - action(tag, k - h)
         omega = 2.0 * math.pi / period(tag, k)
         assert d_energy / d_action == pytest.approx(omega, rel=1e-5)
+
+
+@pytest.mark.parametrize("tag", sorted(PERIODIC_TAGS, key=lambda t: t.value))
+def test_action_matches_the_closed_form_orbit_integral(tag: FamilyTag) -> None:
+    # I = J1 / (2 pi) with J1 the one-period integral of zeta2**2, so the
+    # trapezoid rule is checked against the closed form across the family.
+    lo, hi = modulus_range(tag)
+    pad = 0.01 * (hi - lo)
+    for k in np.linspace(lo + pad, hi - pad, 24):
+        closed = j_integrals(tag, float(k), 1).j1 / (2.0 * math.pi)
+        assert action(tag, float(k)) == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 def test_rhs_is_the_hamiltonian_vector_field() -> None:
