@@ -1,12 +1,15 @@
 """Complete elliptic integrals and Jacobi elliptic functions.
 
 Everything downstream (orbit families, periods, Melnikov integrals) rests on
-the three functions here:
+the functions here:
 
 * ``complete_K`` / ``complete_E`` — complete elliptic integrals of the first
   and second kind, from ``scipy.special.ellipkm1`` (fed the complementary
   parameter ``(1 - k)(1 + k)``, so K keeps full relative accuracy as
   k -> 1) and ``scipy.special.ellipe``.
+* ``complete_K_complement`` — ``K(k')``, from ``ellipkm1`` fed ``k*k``, so
+  ``k'`` is never formed; with ``K(k)`` it gives the nome
+  ``exp(-pi K(k') / K(k))`` of the Jacobi functions' Fourier series.
 * ``jacobi_sn_cn_dn`` — the Jacobi functions sn, cn, dn, computed by the
   descending Landen transformation with a trigonometric base case (the
   amplitude-angle recursion attached to the AGM sequence of ``k``).  The
@@ -36,6 +39,7 @@ __all__ = [
     "EllipticModulus",
     "K_MODULUS_CUTOFF",
     "complete_K",
+    "complete_K_complement",
     "complete_E",
     "jacobi_sn_cn_dn",
     "dK_dk",
@@ -87,6 +91,18 @@ def complete_K(k: EllipticModulus | float) -> float:
             f"complete_K needs 0 <= k <= {K_MODULUS_CUTOFF!r}, got {kv!r}"
         )
     return float(special.ellipkm1((1.0 - kv) * (1.0 + kv)))
+
+
+def complete_K_complement(k: EllipticModulus | float) -> float:
+    """``K(k')`` with ``k' = sqrt(1 - k^2)``, taken from ``k`` without forming ``k'``.
+
+    Finite for ``0 < k < 1`` and decreasing in ``k``; raises
+    :class:`DomainError` outside ``(0, 1)``.
+    """
+    kv = _modulus_value(k)
+    if not (0.0 < kv < 1.0):
+        raise DomainError(f"complete_K_complement needs 0 < k < 1, got {kv!r}")
+    return float(special.ellipkm1(kv * kv))
 
 
 def complete_E(k: EllipticModulus | float) -> float:

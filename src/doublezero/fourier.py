@@ -5,12 +5,17 @@ around as finite Fourier series.  This module provides the small immutable
 container used for them, plus helpers to build one from samples and to locate
 its extrema (grid values from one inverse FFT of the coefficients, then a few
 Newton steps on the derivative at the grid arg-max and arg-min).
+
+A series is evaluated on arrays by Clenshaw's recurrence, which needs one
+``cos`` and at most one ``sin`` of the phases whatever the number of
+harmonics; on one Python float it is summed term by term with ``math``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -36,6 +41,23 @@ def _clean(coeffs: Mapping[int, float], what: str) -> tuple[tuple[int, float], .
         if v != 0.0:
             out[j] = out.get(j, 0.0) + v
     return tuple(sorted(out.items()))
+
+
+def _clenshaw(coef: dict[int, float], cos_x: np.ndarray | None):
+    """``(u_1, u_2)`` of the backward recurrence ``u_j = c_j + 2 cos(x) u_{j+1} - u_{j+2}``.
+
+    ``coef`` maps the harmonics ``j >= 1`` of one kind to ``c_j``.  Then
+    ``sum_j c_j cos(j x) = u_1 cos(x) - u_2`` and ``sum_j c_j sin(j x) =
+    u_1 sin(x)``.  Below two harmonics the pair is Python floats and
+    ``cos_x`` is not read, so it may be ``None``.
+    """
+    top = max(coef, default=0)
+    u1, u2 = coef.get(top, 0.0), 0.0
+    if top > 1:
+        two_cos = 2.0 * cos_x
+        for j in range(top - 1, 0, -1):
+            u1, u2 = coef.get(j, 0.0) + two_cos * u1 - u2, u1
+    return u1, u2
 
 
 @dataclass(frozen=True, init=False)
@@ -93,7 +115,15 @@ class TrigPolynomial:
         A Python number, a NumPy scalar or a 0-d array returns a ``float``,
         summed term by term in Python floats with ``math.cos`` and
         ``math.sin``: an integrator calls the forcing this way once per
-        right-hand side.  Any other input returns an array of its shape.
+        right-hand side.  Any other input returns an array of its shape,
+        summed by the Clenshaw recurrences of the cosine and the sine
+        coefficients (see ``_clenshaw``): one ``cos`` of the input when
+        there are cosine harmonics or sine harmonics above the first, one
+        ``sin`` when there are sine terms, and three array operations per
+        harmonic of each kind.  With at most one harmonic the recurrences
+        stay in Python floats and the sum is ``a0 + a1*cos(phi) +
+        b1*sin(phi)``, term for term; a constant is its value at every
+        phase.
         """
         if isinstance(phi, (float, int)) or getattr(phi, "ndim", None) == 0:
             x = float(phi)
@@ -103,13 +133,24 @@ class TrigPolynomial:
             for j, v in self.sin_terms:
                 total = total + v * math.sin(j * x)
             return total
-        arr = np.asarray(phi, dtype=float)
-        out = np.zeros_like(arr)
-        for j, v in self.cos_terms:
-            out = out + v * np.cos(j * arr)
-        for j, v in self.sin_terms:
-            out = out + v * np.sin(j * arr)
+        mean, cos_coef, sin_coef = self._series
+        x = np.asarray(phi, dtype=float)
+        cos_x = np.cos(x) if cos_coef or max(sin_coef, default=0) > 1 else None
+        if cos_coef:
+            u1, u2 = _clenshaw(cos_coef, cos_x)
+            out = (mean - u2) + u1 * cos_x
+        else:
+            out = np.full_like(x, mean)
+        if sin_coef:
+            w1, _ = _clenshaw(sin_coef, cos_x)
+            out = out + w1 * np.sin(x)
         return out
+
+    @cached_property
+    def _series(self) -> tuple[float, dict[int, float], dict[int, float]]:
+        """The mean and the ``{j: c_j}`` maps of the cosine and the sine
+        harmonics ``j >= 1``, read by every array evaluation."""
+        return self.mean, {j: v for j, v in self.cos_terms if j}, dict(self.sin_terms)
 
     def derivative(self) -> "TrigPolynomial":
         cos = {j: j * v for j, v in self.sin_terms}
@@ -164,17 +205,15 @@ class TrigPolynomial:
         i_max, i_min = int(np.argmax(vals)), int(np.argmin(vals))
         start = np.array([i_max, i_min]) * step
         ij = 1j * np.arange(c.size)
-
-        def series(phi: np.ndarray, order: int) -> np.ndarray:
-            """The ``order``-th derivative at each of the phases ``phi``."""
-            return (np.exp(np.outer(phi, ij)) @ (c * ij**order)).real
+        c1, c2 = c * ij, c * ij**2  # spectra of f' and f''
 
         phi = start
         for _ in range(_NEWTON_STEPS):
-            d1, d2 = series(phi, 1), series(phi, 2)
+            basis = np.exp(np.outer(phi, ij))
+            d1, d2 = (basis @ c1).real, (basis @ c2).real
             shift = np.divide(d1, d2, out=np.zeros(2), where=d2 != 0.0)
             phi = np.clip(phi - shift, start - step, start + step)
-        hi, lo = series(phi, 0)
+        hi, lo = (np.exp(np.outer(phi, ij)) @ c).real
         return (max(float(hi), float(vals[i_max])), min(float(lo), float(vals[i_min])))
 
     # -- construction helpers ----------------------------------------------

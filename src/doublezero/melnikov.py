@@ -11,17 +11,20 @@ and subharmonic bifurcation functions are
 where ``h_hat`` / ``h_hat_mn`` are the projections of the forcing profile
 onto the orbit's velocity component and ``J1, J2, J3`` are the orbit
 integrals of ``zeta2**2``, ``zeta1**2 * zeta2**2`` and ``zeta1**2`` over
-``n`` periods.  Everything here is closed-form or spectrally exact.  The
-``verify`` experiments check it against trapezoid rules on sampled orbits,
-and the independent adaptive-quadrature oracles live in the test suite.
+``n`` periods.  Everything here is closed form: the separatrix weights are
+the kernels' Fourier transforms, ``J1, J2, J3`` are brackets of complete
+elliptic integrals, and ``h_hat_mn`` reads the orbit velocity's Fourier
+coefficients from the nome series of the Jacobi functions (DLMF 22.11,
+https://dlmf.nist.gov/22.11), so no orbit is sampled.  The ``verify``
+experiments check it against trapezoid rules on sampled orbits, and the
+independent oracles (adaptive quadrature, the FFT of a sampled orbit) live
+in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .elliptic import EllipticModulus, complete_E, complete_K
 from .errors import DomainError, ResonanceViolation
@@ -30,7 +33,7 @@ from .orbits import (
     FamilyKind,
     FamilyTag,
     _checked_modulus,
-    evaluate,
+    _velocity_spectrum,
     period,
 )
 
@@ -54,9 +57,6 @@ MEAN_ZERO_TOL = 1e-10
 
 #: Relative slack accepted on the resonance identity n*T == m*T_hat.
 _RESONANCE_CHECK_RTOL = 1e-9
-
-#: Least number of samples per orbit period in ``h_hat_subharmonic``.
-_ORBIT_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -257,17 +257,16 @@ def h_hat_subharmonic(
 
     Computes ``h_hat_mn(phi) = integral over [0, m*T_hat] of zeta2(t) *
     h(omega_hat*t + phi)`` for an orbit satisfying the resonance
-    ``n*T(k) = m*T_hat``.  The integral is evaluated spectrally: one
-    orbit period of ``zeta2`` is sampled uniformly in one array-valued
-    orbit evaluation (4096 points, doubled until the highest
-    resonant harmonic is resolved), its discrete Fourier
-    coefficients resolve the overlap with each forcing harmonic exactly
-    (trigonometric quadrature is spectrally accurate for analytic
-    periodic integrands), and only harmonics ``j`` divisible by ``n``
-    survive.  Selection rules — e.g. pure-cosine forcing producing a
-    nonzero result only for odd ``m`` with ``n = 1`` on the odd-harmonic
-    families — emerge from the orbit's own spectrum rather than being
-    special-cased.
+    ``n*T(k) = m*T_hat``.  The integral is evaluated spectrally: forcing
+    harmonic ``j`` overlaps only the orbit harmonic ``q = j*m/n`` of
+    ``zeta2``, so only harmonics ``j`` divisible by ``n`` survive, each
+    scaled by ``m*T_hat`` times the Fourier coefficient ``c_q``.  The
+    coefficients are exact closed forms, the termwise derivative of the
+    nome series of sn, cn and dn (DLMF 22.11.1-3; ``orbits._velocity_spectrum``).
+    Selection rules follow from that spectrum rather than being
+    special-cased: the sn and cn families have only odd harmonics, so
+    forcing at the first harmonic gives a nonzero result only for odd
+    ``m`` with ``n = 1``, and every forbidden harmonic is exactly zero.
 
     Raises
     ------
@@ -301,13 +300,8 @@ def h_hat_subharmonic(
             TrigPolynomial(), family=fam, k=kv, m=m, n=n, omega_hat=float(omega_hat)
         )
 
-    max_q = (max_j // n) * m
-    n_samples = _ORBIT_SAMPLES
-    while n_samples // 2 <= max_q + 2:
-        n_samples *= 2
-    times = np.arange(n_samples) * (t_orbit / n_samples)
-    zeta2 = evaluate(fam, kv, times).zeta2
-    coeffs = np.fft.rfft(zeta2) / n_samples  # c_q of zeta2 = sum c_q e^{2 pi i q t / T}
+    # zeta2(t) = sum_q c_q e^{2 pi i q t / T}
+    coeffs = _velocity_spectrum(fam, kv, (max_j // n) * m + 1).tolist()
 
     m_t_hat = m * t_hat
     scale_ref = m_t_hat * profile_h.coefficient_norm()

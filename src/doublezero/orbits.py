@@ -45,6 +45,7 @@ from .elliptic import (
     EllipticModulus,
     complete_E,
     complete_K,
+    complete_K_complement,
     dK_dk,
     jacobi_sn_cn_dn,
 )
@@ -290,6 +291,35 @@ def evaluate(
     if scalar:
         return OrbitPoint(float(z1), float(z2))
     return OrbitPoint(z1, z2)
+
+
+def _velocity_spectrum(family: FamilyKind, k: float, count: int) -> np.ndarray:
+    """Fourier coefficients ``c_0 .. c_{count-1}`` of a periodic orbit's velocity.
+
+    ``zeta2(t) = sum_p c_p exp(i p w0 t)`` with ``w0 = 2 pi / T(k)``.  The
+    coefficients are the termwise derivative of the nome series of sn, cn
+    and dn (DLMF 22.11.1-3), with ``r = pi K(k') / K(k)`` and the nome
+    ``exp(-r)``: ``sqrt(2) p w0**2 / sinh(p r/2)`` (sn) and ``i sqrt(2) p
+    w0**2 / cosh(p r/2)`` (cn) at odd ``p`` and zero at even ``p``; ``i s
+    sqrt(2) p w0**2 / (2 cosh(p r))`` (dn, lobe sign ``s``) at every ``p >=
+    1``; and ``c_0 = 0``.  A hyperbolic function that overflows gives the
+    exact 0.
+    """
+    c, s_k2, quarters = _TIME_SCALE[family.tag]
+    big_k = complete_K(k)
+    w0 = 2.0 * math.pi / (quarters * big_k * math.sqrt(c + s_k2 * k * k))
+    r = math.pi * complete_K_complement(k) / big_k
+    p = np.arange(count, dtype=float)
+    amp = _SQRT2 * w0 * w0 * p
+    coeffs = np.zeros(count, dtype=complex)
+    with np.errstate(over="ignore"):
+        if family.tag is FamilyTag.INSIDE_HOM:
+            coeffs.imag[1:] = family.sign * amp[1:] / (2.0 * np.cosh(p[1:] * r))
+        elif family.tag is FamilyTag.INSIDE_HET:
+            coeffs.real[1::2] = amp[1::2] / np.sinh(0.5 * p[1::2] * r)
+        else:  # GLOBAL and OUTSIDE_HOM share the cn profile
+            coeffs.imag[1::2] = amp[1::2] / np.cosh(0.5 * p[1::2] * r)
+    return coeffs
 
 
 def period(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:

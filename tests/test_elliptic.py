@@ -14,6 +14,7 @@ from doublezero.elliptic import (
     EllipticModulus,
     complete_E,
     complete_K,
+    complete_K_complement,
     dE_dk,
     dK_dk,
     jacobi_sn_cn_dn,
@@ -43,6 +44,18 @@ def test_complete_integrals_match_quadrature() -> None:
     for k in K_GRID:
         assert complete_K(k) == pytest.approx(oracle_K(k), abs=1e-10)
         assert complete_E(k) == pytest.approx(oracle_E(k), abs=1e-10)
+
+
+def test_complementary_integral_matches_quadrature_and_small_k_limit() -> None:
+    for k in K_GRID:
+        kprime = math.sqrt(1.0 - k * k)
+        assert complete_K_complement(k) == pytest.approx(oracle_K(kprime), abs=1e-10)
+    # K(k') = ln(4/k) + O(k^2 ln k) as k -> 0, where forming k' would lose it.
+    for k in (1e-6, 1e-9, 1e-150):
+        assert complete_K_complement(k) == pytest.approx(math.log(4.0 / k), rel=1e-12)
+    for bad in (0.0, 1.0, -0.2):
+        with pytest.raises(DomainError):
+            complete_K_complement(bad)
 
 
 def test_jacobi_functions_match_reference_implementation() -> None:

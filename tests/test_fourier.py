@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublezero.errors import DomainError
 from doublezero.fourier import TrigPolynomial, cosine, sine
@@ -49,6 +51,73 @@ def test_array_inputs_return_arrays_of_their_shape(poly: TrigPolynomial, shape) 
         assert not values.any()
     for p, value in zip(phi.ravel(), values.ravel()):
         assert abs(value - poly(float(p))) <= 1e-15
+
+
+def _per_harmonic_sum(poly: TrigPolynomial, phi: np.ndarray) -> np.ndarray:
+    """The series summed one ``cos(j*phi)`` or ``sin(j*phi)`` at a time."""
+    out = np.zeros_like(phi)
+    for j, v in poly.cos_terms:
+        out = out + v * np.cos(j * phi)
+    for j, v in poly.sin_terms:
+        out = out + v * np.sin(j * phi)
+    return out
+
+
+#: Phases of the array checks: both ends of a period, pi, and |phi| near 50.
+PHASES = np.concatenate(
+    [[0.0, math.pi, -math.pi, 2.0 * math.pi, 50.0, -50.0, 49.9, -50.3],
+     np.random.default_rng(4).uniform(-7.0, 7.0, 1000),
+     np.random.default_rng(5).uniform(49.0, 51.0, 200) * np.resize([1.0, -1.0], 200)]
+)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [cosine(1.3), sine(-0.7), TrigPolynomial({0: 0.4, 1: -1.1}), TrigPolynomial({0: 0.4}, {1: 2.0}),
+     TrigPolynomial({0: -0.2, 1: 0.9}, {1: -0.6}), TrigPolynomial({1: 0.5}, {1: 0.25}),
+     TrigPolynomial({0: 2.5}), TrigPolynomial()],
+)
+def test_one_harmonic_arrays_equal_the_per_harmonic_sum_bitwise(poly: TrigPolynomial) -> None:
+    for phi in (PHASES, PHASES.reshape(4, -1)):
+        values = poly(phi)
+        assert values.shape == phi.shape
+        assert values.tobytes() == _per_harmonic_sum(poly, phi).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0,), (7,), (2, 3)])
+def test_zero_polynomial_gives_zeros_of_the_input_shape(shape) -> None:
+    for fill in (0.3, np.inf, np.nan):
+        phi = np.full(shape, fill)
+        values = TrigPolynomial()(phi)
+        assert isinstance(values, np.ndarray) and values.shape == phi.shape
+        assert not values.any()
+
+
+@pytest.mark.parametrize("harmonics", [2, 3, 8, 64, 257, 1024])
+def test_array_evaluation_matches_the_per_harmonic_sum(harmonics: int) -> None:
+    rng = np.random.default_rng(harmonics)
+    j = range(harmonics + 1)
+    poly = TrigPolynomial(dict(zip(j, rng.normal(size=harmonics + 1))),
+                          dict(zip(j, rng.normal(size=harmonics + 1))))
+    err = np.max(np.abs(poly(PHASES) - _per_harmonic_sum(poly, PHASES)))
+    assert err <= 1e-12 * poly.coefficient_norm()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    cos=st.dictionaries(st.integers(0, 40), st.floats(-1e3, 1e3), max_size=20),
+    sin=st.dictionaries(st.integers(1, 40), st.floats(-1e3, 1e3), max_size=20),
+    phi=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=30),
+)
+def test_array_evaluation_property(cos, sin, phi) -> None:
+    poly = TrigPolynomial(cos, sin)
+    x = np.array(phi)
+    values = poly(x)
+    reference = _per_harmonic_sum(poly, x)
+    assert values.shape == x.shape
+    if poly.max_harmonic <= 1:
+        assert values.tobytes() == reference.tobytes()
+    assert np.max(np.abs(values - reference)) <= 1e-12 * poly.coefficient_norm()
 
 
 def test_derivative_matches_finite_differences() -> None:

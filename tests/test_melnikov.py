@@ -29,6 +29,7 @@ from doublezero.orbits import (
     PERIODIC_TAGS,
     FamilyKind,
     FamilyTag,
+    _velocity_spectrum,
     evaluate,
     modulus_range,
     period,
@@ -235,6 +236,99 @@ def test_resonant_projection_validates_inputs() -> None:
         h_hat_subharmonic(cosine(1.0), FamilyTag.INSIDE_HET, 0.9, 1, 1, 0.8)
     with pytest.raises(DomainError):
         h_hat_subharmonic(cosine(1.0), FamilyTag.HET_PAIR, None, 1, 1, 0.8)
+
+
+#: Families of the oracle comparison, each branch of the lobe pair included.
+ORACLE_FAMILIES = [
+    FamilyKind(FamilyTag.INSIDE_HET),
+    FamilyKind(FamilyTag.GLOBAL),
+    FamilyKind(FamilyTag.INSIDE_HOM, 1),
+    FamilyKind(FamilyTag.INSIDE_HOM, -1),
+    FamilyKind(FamilyTag.OUTSIDE_HOM),
+]
+RESONANCES = [(m, n) for m in range(1, 6) for n in range(1, 4) if math.gcd(m, n) == 1]
+#: Places in each modulus range: 1e-6 from either end and ten between.
+MODULUS_PLACES = (0.001, 0.01, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99)
+
+
+def _oracle_moduli(fam: FamilyKind) -> list[float]:
+    lo, hi = modulus_range(fam)
+    return [lo + 1e-6] + [lo + x * (hi - lo) for x in MODULUS_PLACES] + [hi - 1e-6]
+
+
+def _sampled_projection(profile: TrigPolynomial, fam: FamilyKind, k: float, m: int, n: int):
+    """The projection from 4096 samples of one orbit period and their FFT.
+
+    Returns the cosine and sine terms kept by the package's accumulation
+    rule, ``m*T_hat`` and the largest sampled ``|zeta2|``.
+    """
+    t_orbit = period(fam, k)
+    max_q = (profile.max_harmonic // n) * m
+    samples = 4096
+    while samples // 2 <= max_q + 2:
+        samples *= 2
+    zeta2 = evaluate(fam, k, np.arange(samples) * (t_orbit / samples)).zeta2
+    coeffs = np.fft.rfft(zeta2) / samples
+    m_t_hat = n * t_orbit
+    drop_tol = 5e-14 * max(1.0, m_t_hat * profile.coefficient_norm())
+    cos_out: dict[int, float] = {}
+    sin_out: dict[int, float] = {}
+    terms = [(j, a, 0.0) for j, a in profile.cos_terms]
+    terms += [(j, 0.0, b) for j, b in profile.sin_terms]
+    for j, a, b in terms:
+        if j == 0 or j % n:
+            continue
+        c = coeffs[(j // n) * m]
+        a_out = m_t_hat * (a * c.real - b * c.imag)
+        b_out = m_t_hat * (a * c.imag + b * c.real)
+        if abs(a_out) > drop_tol:
+            cos_out[j] = cos_out.get(j, 0.0) + a_out
+        if abs(b_out) > drop_tol:
+            sin_out[j] = sin_out.get(j, 0.0) + b_out
+    return cos_out, sin_out, m_t_hat, float(np.max(np.abs(zeta2)))
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f"{f.tag.value}{f.sign:+d}")
+def test_resonant_projection_matches_the_sampled_oracle(fam: FamilyKind) -> None:
+    rng = np.random.default_rng(17)
+    odd_only = fam.tag is not FamilyTag.INSIDE_HOM
+    for k in _oracle_moduli(fam):
+        for m, n in RESONANCES:
+            profile = TrigPolynomial(
+                {j: float(rng.normal()) for j in range(1, 7)},
+                {j: float(rng.normal()) for j in range(1, 7)},
+            )
+            omega_hat = 2.0 * math.pi * m / (n * period(fam, k))
+            got = h_hat_subharmonic(profile, fam, k, m, n, omega_hat).values
+            cos_ref, sin_ref, m_t_hat, zeta2_max = _sampled_projection(profile, fam, k, m, n)
+            # The FFT's error is eps * max|zeta2| per coefficient, and max|zeta2|
+            # grows without bound as k -> 1/sqrt(2) on the cn families.
+            scale = max(1.0, m_t_hat * profile.coefficient_norm() * zeta2_max)
+            for terms, ref in ((dict(got.cos_terms), cos_ref), (dict(got.sin_terms), sin_ref)):
+                if zeta2_max <= 10.0:
+                    assert set(terms) == set(ref), (k, m, n)
+                else:  # the oracle also keeps harmonics of its noise floor
+                    assert set(terms) <= set(ref), (k, m, n)
+                for j in set(terms) | set(ref):
+                    assert abs(terms.get(j, 0.0) - ref.get(j, 0.0)) <= 1e-14 * scale, (k, m, n, j)
+                for j in range(1, 7):
+                    # Selection rules: only multiples of n, and only odd orbit
+                    # harmonics on the sn and cn families.
+                    if j % n or (odd_only and (j // n) * m % 2 == 0):
+                        assert terms.get(j, 0.0) == 0.0, (k, m, n, j)
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f"{f.tag.value}{f.sign:+d}")
+def test_orbit_velocity_spectrum_has_exact_zeros(fam: FamilyKind) -> None:
+    for k in _oracle_moduli(fam):
+        coeffs = _velocity_spectrum(fam, k, 64)
+        assert coeffs[0] == 0.0
+        assert np.all(np.isfinite(coeffs))
+        if fam.tag is not FamilyTag.INSIDE_HOM:
+            assert not np.any(coeffs[2::2])
+        # sn gives real coefficients, cn and dn imaginary ones.
+        part = coeffs.imag if fam.tag is FamilyTag.INSIDE_HET else coeffs.real
+        assert not np.any(part)
 
 
 def test_separatrix_constants_match_quadrature() -> None:

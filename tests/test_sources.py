@@ -1,8 +1,11 @@
-"""Source rules of the package: one single-trajectory integrator, no scalar quadrature.
+"""Source rules of the package: one single-trajectory integrator, no scalar
+quadrature, and no sampled orbits in the Melnikov projections.
 
 Single trajectories go through ``dynamics._dop853`` and orbit integrals
 through array rules; SciPy's ``solve_ivp`` and ``quad`` stay in the tests
-as reference oracles only.
+as reference oracles only.  ``melnikov`` reads each orbit's Fourier
+coefficients in closed form, so it neither evaluates orbits nor takes an
+FFT; the sampled projection is an oracle of the tests too.
 """
 
 from __future__ import annotations
@@ -15,16 +18,21 @@ import pytest
 import doublezero
 
 BANNED = {"solve_ivp", "quad"}
+#: Names banned in one module on top of ``BANNED``.
+MODULE_BANNED = {"melnikov.py": {"evaluate", "fft"}}
 MODULES = sorted(Path(doublezero.__file__).parent.glob("*.py"))
 
 
-def banned_names(tree: ast.AST) -> list[str]:
-    """Imports of a banned name and attribute uses such as ``integrate.quad``."""
+def banned_names(tree: ast.AST, banned: set[str] = BANNED) -> list[str]:
+    """Imports of a banned name or from a banned module, and attribute uses
+    such as ``integrate.quad``."""
     found = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found += [p for p in node.module.split(".") if p in banned]
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            found += [a.name for a in node.names if a.name.rsplit(".", 1)[-1] in BANNED]
-        elif isinstance(node, ast.Attribute) and node.attr in BANNED:
+            found += [a.name for a in node.names if a.name.rsplit(".", 1)[-1] in banned]
+        elif isinstance(node, ast.Attribute) and node.attr in banned:
             found.append(node.attr)
     return found
 
@@ -35,6 +43,24 @@ def test_the_rule_sees_imports_and_attribute_uses() -> None:
     assert {"dynamics.py", "orbits.py", "cli.py"} <= {p.name for p in MODULES}
 
 
+def test_the_rule_sees_fft_modules_and_orbit_evaluation() -> None:
+    source = (
+        "from numpy.fft import rfft\nfrom .orbits import evaluate, period\n"
+        "import scipy.fft\nnp.fft.rfft(z)\norbits.evaluate(fam, k, t)\n"
+    )
+    assert sorted(banned_names(ast.parse(source), MODULE_BANNED["melnikov.py"])) == [
+        "evaluate", "evaluate", "fft", "fft", "scipy.fft"
+    ]
+    assert set(MODULE_BANNED) <= {p.name for p in MODULES}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_neither_solve_ivp_nor_quad(path: Path) -> None:
     assert banned_names(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_BANNED))
+def test_module_uses_none_of_its_own_banned_names(name: str) -> None:
+    path = Path(doublezero.__file__).parent / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert banned_names(tree, MODULE_BANNED[name]) == []
