@@ -91,6 +91,12 @@ _FIXED_POINT_TOL = 1e-12
 #: component (at least one); see ``_shooting_defect``.
 _TRIAL_ESCAPE = 1e3
 
+#: Accepted steps after which a single-trajectory integration gives up.
+#: The most any workload or ``verify`` experiment takes is 311, in one
+#: period of ``verify fold-convergence --case ii``; a trajectory creeping
+#: toward a singularity reaches this in about a second.
+_MAX_STEPS = 10_000
+
 _N_STAGES = _DOP853.N_STAGES
 #: Step-size factors scale with the error norm to this power.
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
@@ -115,7 +121,10 @@ class FlowSpec:
     NumPy's per-call overhead outweighs the arithmetic; so
     a builder should compute such a call on Python floats, as
     ``scaled_flow`` does, and return a ``(dim,)`` or ``(dim, dim)`` float64
-    array.  The batch contract is the same either way.
+    array.  The batch contract is the same either way, and the two paths
+    need only agree to rounding: ``scaled_flow``'s batch forms its cubic
+    terms as products where one state uses ``z1**3``, and its branches
+    agree within 1e-15 of the largest component.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -164,11 +173,24 @@ def scaled_flow(
     om = float(omega_hat)
 
     # One state (what ``_dop853`` passes) is computed in Python floats, a
-    # batch in arrays; both use the same operations in the same order.
+    # batch in arrays written into the output in place.  The batch forms the
+    # cubic terms as products of ``z1 * z1`` (NumPy's ``pow`` is slow for
+    # negative bases), so the branches agree to rounding: within 1e-15 of
+    # the largest component, not bit for bit.
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        z1, z2 = z.tolist() if z.ndim == 1 else z
-        drive = nh * z2 + s2 * z1 * z1 * z2 + dl * forcing(om * t + ph)
-        return np.array([z2, a * z1 + b * z1**3 + eh * drive])
+        if z.ndim == 1:
+            z1, z2 = z.tolist()
+            drive = nh * z2 + s2 * z1 * z1 * z2 + dl * forcing(om * t + ph)
+            return np.array([z2, a * z1 + b * z1**3 + eh * drive])
+        z1, z2 = z[0], z[1]
+        sq = z1 * z1
+        drive = (s2 * sq + nh) * z2 + dl * forcing(om * t + ph)
+        drive *= eh
+        out = np.empty(z.shape)
+        out[0] = z2
+        np.multiply(b * sq + a, z1, out=out[1])
+        out[1] += drive
+        return out
 
     def jac(t: float, z: np.ndarray) -> np.ndarray:
         z1, z2 = z.tolist() if z.ndim == 1 else z
@@ -225,13 +247,20 @@ def _dop853(rhs, state0, t0: float, t1: float, abs_tol: float, rel_tol: float, *
 
     Returns the state at ``t1`` or, for increasing ``t_eval`` in ``[t0, t1]``,
     the ``(len(t_eval), dim)`` states read from each step's dense output.
-    Raises `StepFailure` if a step fails and, for a finite ``box``, at the
-    first accepted step with ``max|state| > box``.
+    Raises `StepFailure` if a step fails, after ``_MAX_STEPS`` accepted steps
+    and, for a finite ``box``, at the first accepted step with
+    ``max|state| > box``.
     """
     solver = DOP853(rhs, float(t0), np.asarray(state0, dtype=float), float(t1),
                     rtol=rel_tol, atol=abs_tol)
-    rows, due = [], 0
+    rows, due, steps = [], 0, 0
     while solver.status == "running":
+        if steps == _MAX_STEPS:
+            raise StepFailure(
+                f"integration failed on [{t0}, {t1}]: no end after {_MAX_STEPS} steps "
+                f"(reached t = {solver.t})."
+            )
+        steps += 1
         message = solver.step()
         if solver.status == "failed":
             raise StepFailure(f"integration failed on [{t0}, {t1}]: {message}")
@@ -256,7 +285,8 @@ def integrate(flow: FlowSpec, state0, t0: float, t1: float) -> np.ndarray:
         If ``t1 < t0`` (forward public contract; the manifold tracer handles
         backward time internally).
     StepFailure
-        If the adaptive integrator cannot proceed.
+        If the adaptive integrator cannot proceed, or takes more than
+        ``_MAX_STEPS`` (10,000) steps.
     """
     if t1 < t0:
         raise DomainError(f"need t1 >= t0, got [{t0}, {t1}]")
@@ -474,9 +504,16 @@ def _variational_rhs(flow: FlowSpec):
 
     def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = y[:n]
-        phi = y[n:].reshape(n, n, -1)
-        dphi = np.einsum("ij...,jk...->ik...", flow.jacobian(t, x), phi)
-        return np.concatenate([flow.rhs(t, x), dphi.reshape(n * n, -1)])
+        out = np.empty_like(y)
+        out[:n] = flow.rhs(t, x)
+        jac = flow.jacobian(t, x)
+        if jac.ndim == 2:
+            np.matmul(jac, y[n:].reshape(n, -1), out=out[n:].reshape(n, -1))
+        else:
+            # One (dim, dim) product per member, the member axis moved first.
+            np.matmul(jac.transpose(2, 0, 1), y[n:].reshape(n, n, -1).transpose(2, 0, 1),
+                      out=out[n:].reshape(n, n, -1).transpose(2, 0, 1))
+        return out
 
     return rhs
 
@@ -744,7 +781,7 @@ def trace_manifolds(
         # seed segment tile the manifold without gaps.
         offsets = np.geomspace(arc / multiplier, arc, count)
         heads = x_star[:, None] + offsets * direction[:, None]
-        pts: list[tuple[float, ...]] = [tuple(map(float, s)) for s in heads.T]
+        pts: list[tuple[float, ...]] = list(map(tuple, heads.T.tolist()))
         idx: list[tuple[int, int]] = [(0, i) for i in range(count)]
         cuts: dict[float, list[tuple[float, ...]]] = {c: [] for c in planes}
         increments = np.full(count, math.inf)
@@ -758,28 +795,22 @@ def trace_manifolds(
                 flow.rhs, heads[:, live], t0, t1, flow.abs_tol, flow.rel_tol,
                 box=box, planes=planes, samples=path_samples,
             )
-            kept = []
-            for j, i in enumerate(live.tolist()):
-                if end.failed[j]:
-                    continue
-                for c, row in end.cuts[j]:
-                    cuts[c].append(tuple(map(float, row)))
-                chain_paths[i].extend(tuple(map(float, row)) for row in end.paths[j])
-                if end.left_box[j]:
-                    continue
-                img = end.states[:, j]
-                d = float(np.max(np.abs(img - heads[:, i])))
-                pts.append(tuple(map(float, img)))
-                idx.append((iterate, i))
-                if d < _FIXED_POINT_TOL or (
-                    math.isfinite(increments[i])
-                    and d * _CONTRACTION_CUT < increments[i]
-                ):
-                    continue
-                heads[:, i] = img
-                increments[i] = d
-                kept.append(i)
-            live = np.array(kept, dtype=int)
+            if planes or path_samples > 1:
+                for j in np.flatnonzero(~end.failed):
+                    for c, row in end.cuts[j]:
+                        cuts[c].append(tuple(map(float, row)))
+                    chain_paths[live[j]].extend(tuple(map(float, row)) for row in end.paths[j])
+            inside = ~(end.failed | end.left_box)
+            chains, imgs = live[inside], end.states[:, inside]
+            d = np.max(np.abs(imgs - heads[:, chains]), axis=0)
+            pts.extend(map(tuple, imgs.T.tolist()))
+            idx.extend((iterate, i) for i in chains.tolist())
+            # A chain sitting on, or contracting onto, a periodic point ends.
+            prev = increments[chains]
+            go_on = ~((d < _FIXED_POINT_TOL) | (np.isfinite(prev) & (d * _CONTRACTION_CUT < prev)))
+            live = chains[go_on]
+            heads[:, live] = imgs[:, go_on]
+            increments[live] = d[go_on]
         return ManifoldTrace(
             branch=branch,
             points=tuple(pts),
@@ -818,12 +849,6 @@ class _EnsembleEnd:
     paths: list[list[np.ndarray]]
 
 
-def _combine(weights: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """``sum_i weights[i] * K[i]`` over the first ``len(weights)`` stages of ``K``."""
-    s = len(weights)
-    return (weights @ K[:s].reshape(s, -1)).reshape(K.shape[1:])
-
-
 def _rms(x: np.ndarray) -> np.ndarray:
     """SciPy's RMS norm, taken per column."""
     return np.linalg.norm(x, axis=0) / math.sqrt(x.shape[0])
@@ -847,6 +872,16 @@ def _initial_step(rhs, t0: np.ndarray, y0, f0, t1: np.ndarray, direction: float,
             (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT,
         )
     return np.minimum(np.minimum(100.0 * h0, h1), interval)
+
+
+#: Stage weights ``A[s, :s]`` of the extended tableau, one row per stage.
+_A_ROWS = [np.ascontiguousarray(_DOP853.A[s, :s]) for s in range(_DOP853.N_STAGES_EXTENDED)]
+#: Stage time fractions, with 1 appended for the closing evaluation at ``t + h``.
+_C_STEP = np.append(_DOP853.C[:_N_STAGES], 1.0)[:, None]
+#: The 5th- and 3rd-order error estimators, one row each.
+_E53 = np.stack([_DOP853.E5, _DOP853.E3])
+#: Smallest positive double: a floor that leaves every positive value as it is.
+_TINY = math.ulp(0.0)
 
 
 def _ensemble_dop853(
@@ -876,11 +911,20 @@ def _ensemble_dop853(
     ``samples > 1`` evenly spaced times after ``t0`` are read from it too
     (both need scalar times); the interpolant's three extra stages are built
     only for steps that need one.
+
+    A step's stages ``K`` share one ``(13, dim, N)`` array, read as
+    ``(13, dim*N)``: each stage increment is the one product
+    ``A[s, :s] @ K[:s]`` and both error estimates the one ``[E5; E3] @ K``.
+    SciPy's special cases of the controller (a zero or NaN error norm, a
+    retried step) are plain array arithmetic, so a step needs no
+    ``np.errstate`` and hides no warning raised inside ``rhs``.  Members
+    leave the working arrays only in a step where one of them ends.
     """
     n, count = y0.shape
     t_start = np.broadcast_to(np.asarray(t0, dtype=float), (count,))
     t_end = np.broadcast_to(np.asarray(t1, dtype=float), (count,))
     direction = 1.0 if t_end[0] > t_start[0] else -1.0
+    clip = np.minimum if direction > 0 else np.maximum
     grid = np.linspace(t0, t1, samples)[1:] if samples > 1 else np.empty(0)
     ordered_grid = direction * grid
     plane_arr = np.asarray(planes, dtype=float)[:, None]
@@ -892,42 +936,52 @@ def _ensemble_dop853(
     cuts: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(count)]
     paths: list[list[np.ndarray]] = [[] for _ in range(count)]
 
-    # Working arrays hold the running members only, in ``live`` order.
+    # Working arrays hold the running members only, in ``live`` order.  K[0]
+    # is the derivative at the current state of each member.
     live = np.arange(count)
     t = t_start.copy()
     y = y0.copy()
-    f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, f, t_end, direction, atol, rtol)
-    rejected = np.zeros(count, dtype=bool)
+    K = np.empty((_N_STAGES + 1, n, count))
+    K[0] = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, K[0], t_end, direction, atol, rtol)
+    # A member retrying a rejected step may not grow it (SciPy's factor cap).
+    cap = np.full(count, MAX_FACTOR)
     g = y[2:3] - plane_arr  # plane-event values, empty without planes
     due = np.zeros(count, dtype=int)
     while live.size:
-        min_step = 10.0 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
-        t_new = t + direction * h_abs
-        t_new = np.where(direction * (t_new - t_end) > 0, t_end, t_new)
+        m = live.size
+        flat = K.reshape(_N_STAGES + 1, n * m)
+        # SciPy's 10 |nextafter(t) - t|; a retried member passed it already.
+        min_step = (np.nextafter(t, direction * np.inf) - t) * (10.0 * direction)
+        h_abs = np.maximum(h_abs, min_step)
+        t_new = clip(t + direction * h_abs, t_end)
         h = t_new - t
-        K = np.empty((_N_STAGES + 1, n, live.size))
-        K[0] = f
+        times = t + _C_STEP * h
         for s in range(1, _N_STAGES):
-            dy = _combine(_DOP853.A[s, :s], K) * h
-            K[s] = rhs(t + _DOP853.C[s] * h, y + dy)
-        y_new = y + h * _combine(_DOP853.B, K)
-        f_new = K[-1] = rhs(t + h, y_new)
+            stage = (_A_ROWS[s] @ flat[:s]).reshape(n, m)
+            stage *= h
+            stage += y
+            K[s] = rhs(times[s], stage)
+        y_new = (_DOP853.B @ flat[:_N_STAGES]).reshape(n, m)
+        y_new *= h
+        y_new += y
+        K[-1] = rhs(times[-1], y_new)
 
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5 = np.sum((_combine(_DOP853.E5, K) / scale) ** 2, axis=0)
-        err3 = np.sum((_combine(_DOP853.E3, K) / scale) ** 2, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            err = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * n)
-            err = np.where((err5 == 0) & (err3 == 0), 0.0, err)
-            factor = SAFETY * err ** _ERROR_EXPONENT
+        scale = np.maximum(np.abs(y), np.abs(y_new))
+        scale *= rtol
+        scale += atol
+        err53 = (_E53 @ flat).reshape(2, n, m)
+        err53 /= scale
+        err53 *= err53
+        err5, err3 = err53.sum(axis=1)
+        h_abs = np.abs(h)
+        err = h_abs * err5 / np.sqrt(np.maximum(err5 + 0.01 * err3, _TINY) * n)
         accept = err < 1
-        grow = np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, factor))
-        grow = np.where(rejected, np.minimum(1.0, grow), grow)
-        # fmax, like Python's max, turns a NaN error into the largest cut.
-        h_abs = np.abs(h) * np.where(accept, grow, np.fmax(MIN_FACTOR, factor))
-        rejected = ~accept
+        # An error of 0 gives the largest factor, and a NaN error (fmax)
+        # the strongest cut, as in SciPy.
+        factor = SAFETY * np.maximum(err, _TINY) ** _ERROR_EXPONENT
+        h_abs *= np.fmax(np.minimum(factor, cap), MIN_FACTOR)
+        cap = np.where(accept, MAX_FACTOR, 1.0)
 
         if dense:
             g_new = y_new[2:3] - plane_arr
@@ -938,7 +992,7 @@ def _ensemble_dop853(
             )
             need = np.flatnonzero(hit.any(axis=0) | (upto > due))
             if need.size:
-                sols = _interpolants(rhs, K, t, t_new, y, y_new, f_new, need)
+                sols = _interpolants(rhs, K, t, t_new, y, y_new, need)
                 for j, sol in zip(need, sols):
                     member = live[j]
                     for p in np.flatnonzero(hit[:, j]):
@@ -950,40 +1004,51 @@ def _ensemble_dop853(
             due = upto
 
         t = np.where(accept, t_new, t)
-        y[:, accept] = y_new[:, accept]
-        f[:, accept] = f_new[:, accept]
-        out = accept & (np.max(np.abs(y), axis=0) > box)
-        stop = (accept & (direction * (t - t_end) >= 0)) | out
+        np.copyto(y, y_new, where=accept)
+        np.copyto(K[0], K[-1], where=accept)
+        # Only an accepted step moves ``t``, and it stops exactly at ``t1``.
+        stop = t == t_end
         # A NaN step size, from a non-finite state, counts as too small;
         # the ``min_step`` test alone would retry it forever.
-        stuck = rejected & ~(h_abs >= min_step)
+        stuck = ~(accept | (h_abs >= min_step))
         stop |= stuck
+        if box < math.inf:
+            out = accept & (np.max(np.abs(y), axis=0) > box)
+            stop |= out
         if stop.any():
             states[:, live[stop]] = y[:, stop]
-            left_box[live[out]] = True
+            if box < math.inf:
+                left_box[live[out]] = True
             failed[live[stuck]] = True
-            keep = ~stop
-            live, t, t_end, y, f = live[keep], t[keep], t_end[keep], y[:, keep], f[:, keep]
-            h_abs, rejected, due, g = h_abs[keep], rejected[keep], due[keep], g[:, keep]
+            keep = np.flatnonzero(~stop)
+            live, t, t_end, y = live[keep], t[keep], t_end[keep], y[:, keep]
+            h_abs, cap, due, g = h_abs[keep], cap[keep], due[keep], g[:, keep]
+            f = K[0][:, keep]
+            K = np.empty((_N_STAGES + 1, n, keep.size))
+            K[0] = f
     return _EnsembleEnd(states, left_box, failed, cuts, paths)
 
 
-def _interpolants(rhs, K, t, t_new, y, y_new, f_new, need):
-    """SciPy's DOP853 dense output of the step ``t -> t_new`` of members ``need``."""
+def _interpolants(rhs, K, t, t_new, y, y_new, need):
+    """SciPy's DOP853 dense output of the step ``t -> t_new`` of members ``need``.
+
+    ``K`` holds the step's ``(13, dim, N)`` stages, the last one at ``t_new``.
+    """
     n = y.shape[0]
     tn, yn = t[need], y[:, need]
     hn = t_new[need] - tn
     ext = np.empty((_DOP853.N_STAGES_EXTENDED, n, need.size))
     ext[:_N_STAGES + 1] = K[:, :, need]
+    flat = ext.reshape(_DOP853.N_STAGES_EXTENDED, -1)
     for s in range(_N_STAGES + 1, _DOP853.N_STAGES_EXTENDED):
-        dy = _combine(_DOP853.A[s, :s], ext) * hn
+        dy = (_A_ROWS[s] @ flat[:s]).reshape(n, need.size) * hn
         ext[s] = rhs(tn + _DOP853.C[s] * hn, yn + dy)
     delta = y_new[:, need] - yn
     F = np.empty((_DOP853.INTERPOLATOR_POWER, n, need.size))
     F[0] = delta
     F[1] = hn * ext[0] - delta
-    F[2] = 2.0 * delta - hn * (f_new[:, need] + ext[0])
-    F[3:] = hn * np.stack([_combine(row, ext) for row in _DOP853.D])
+    F[2] = 2.0 * delta - hn * (ext[_N_STAGES] + ext[0])
+    F[3:] = hn * (_DOP853.D @ flat).reshape(-1, n, need.size)
     return [
         Dop853DenseOutput(tn[k], t_new[need[k]], yn[:, k], F[:, :, k])
         for k in range(need.size)

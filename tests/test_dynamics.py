@@ -1,7 +1,8 @@
 """Trajectories, strobe maps and Newton shooting on a forced linear oscillator
 with a closed-form solution, and shooting on a multiple-shooting saddle;
-monodromy, fold detection, the batched flow contract, ensemble shooting legs
-and manifold tracing against per-leg and per-chain ``solve_ivp``."""
+monodromy, fold detection, the batched flow contract, ensemble shooting legs,
+chains and manifold tracing against per-leg and per-chain ``solve_ivp``, and
+the single-trajectory step budget."""
 
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ from doublezero.dynamics import (
     FlowSpec,
     ManifoldBranch,
     OrbitClass,
+    _MAX_STEPS,
+    _ensemble_dop853,
     _integrate_legs,
     _shooting_defect,
     detect_saddle_node,
@@ -232,7 +235,8 @@ def test_jacobian_evaluates_a_batch_column_by_column(build) -> None:
 
 
 def variational_leg(flow: FlowSpec, state, t0: float, t1: float):
-    """End state and transition matrix of one leg, by a lone ``solve_ivp``."""
+    """End state, transition matrix and evaluation count of one leg, by a
+    lone ``solve_ivp``."""
     n = flow.dim
 
     def aug(t, y):
@@ -242,29 +246,62 @@ def variational_leg(flow: FlowSpec, state, t0: float, t1: float):
     sol = solve_ivp(aug, (t0, t1), np.concatenate([state, np.eye(n).ravel()]),
                     method="DOP853", rtol=flow.rel_tol, atol=flow.abs_tol)
     assert sol.success
-    return sol.y[:n, -1], sol.y[n:, -1].reshape(n, n)
+    return sol.y[:n, -1], sol.y[n:, -1].reshape(n, n), sol.nfev
+
+
+def column_counted(flow: FlowSpec) -> tuple[FlowSpec, list[int]]:
+    """``flow`` whose batched ``rhs`` adds its column count to the returned list."""
+    columns = [0]
+
+    def rhs(t, z):
+        columns[0] += z.shape[1]
+        return flow.rhs(t, z)
+
+    return replace(flow, rhs=rhs), columns
 
 
 def test_ensemble_legs_match_per_leg_integration() -> None:
     # The eight legs of the right saddle of the separatrix-splitting
-    # experiment, each starting at its own time, in one ensemble call.
+    # experiment, each starting at its own time, in one ensemble call; each
+    # leg makes exactly the evaluations of its lone integration.
     flow = splitting_flow(0.0)
     saddle = find_subharmonic(flow, 1, (1.0, 0.0), segments=8)
     times = np.linspace(0.0, flow.period, 9)
     xs = np.stack([saddle.initial_state] + [
         integrate(flow, saddle.initial_state, 0.0, float(t)) for t in times[1:-1]
     ])
-    ends, phis = _integrate_legs(flow, xs, times, variational=True)
+    counted, columns = column_counted(flow)
+    ends, phis = _integrate_legs(counted, xs, times, variational=True)
     assert ends.shape == (8, 2) and phis.shape == (8, 2, 2)
+    evaluations = 0
     for j in range(8):
-        end, phi = variational_leg(flow, xs[j], float(times[j]), float(times[j + 1]))
+        end, phi, nfev = variational_leg(flow, xs[j], float(times[j]), float(times[j + 1]))
         assert max_gap(ends[j], end) < 1e-12
         assert np.max(np.abs(phis[j] - phi)) < 1e-10 * np.max(np.abs(phi))
+        evaluations += nfev
+    assert columns[0] == evaluations
     plain, none = _integrate_legs(flow, xs, times, variational=False)
     assert none is None
     for j in range(8):
         alone = integrate(flow, xs[j], float(times[j]), float(times[j + 1]))
         assert max_gap(plain[j], alone) < 1e-12
+
+
+def test_ensemble_chains_take_the_steps_of_lone_integrations() -> None:
+    # A strobe of 160 states on the lower connection, where z1 takes both
+    # signs: a cheaper ensemble step must still be the step a lone SciPy
+    # integration takes, so the member evaluations add up to theirs.
+    flow = splitting_flow(0.0)
+    z1 = np.linspace(-0.95, 0.95, 160)
+    chains = np.stack([z1, -(1.0 - z1 * z1) / math.sqrt(2.0)])
+    counted, columns = column_counted(flow)
+    end = _ensemble_dop853(counted.rhs, chains, 0.0, flow.period, flow.abs_tol,
+                           flow.rel_tol)
+    lone = [solve_ivp(flow.rhs, (0.0, flow.period), chain, method="DOP853",
+                      rtol=flow.rel_tol, atol=flow.abs_tol) for chain in chains.T]
+    assert all(sol.success for sol in lone)
+    assert columns[0] == sum(sol.nfev for sol in lone)
+    assert max_gap(end.states.T, [sol.y[:, -1] for sol in lone]) < 1e-12
 
 
 def blow_up_flow() -> FlowSpec:
@@ -313,6 +350,23 @@ def test_an_escaping_trial_ends_at_its_box() -> None:
     for xs, times in (([[4.0, 0.0]], [0.0, 1.0]), ([[4.0, 0.0], [0.1, 0.0]], [0.0, 0.5, 1.0])):
         with pytest.raises(StepFailure, match="left the box"):
             _integrate_legs(flow, np.array(xs), np.array(times), variational=False, box=10.0)
+
+
+def test_a_slowly_escaping_trajectory_ends_at_the_step_budget() -> None:
+    # This trajectory creeps outward under an ever smaller step: after
+    # 200,000 steps it had reached only t = 3.96 of 8.22.
+    flow = scaled_flow(s1=1, s2=-1, nu1_sign=-1, eps_hat=0.1, nu_hat=0.3, omega_hat=1.3,
+                       delta_big=1.0, forcing=cosine(1.0))
+    calls = 0
+
+    def counted(t, z):
+        nonlocal calls
+        calls += 1
+        return flow.rhs(t, z)
+
+    with pytest.raises(StepFailure, match=f"no end after {_MAX_STEPS} steps"):
+        integrate(replace(flow, rhs=counted), np.array([0.549, 0.554]), 0.0, 8.22)
+    assert calls < 13 * _MAX_STEPS
 
 
 def test_a_lone_trial_leg_takes_the_steps_of_integrate() -> None:
