@@ -123,8 +123,12 @@ class FlowSpec:
     ``scaled_flow`` does, and return a ``(dim,)`` or ``(dim, dim)`` float64
     array.  The batch contract is the same either way, and the two paths
     need only agree to rounding: ``scaled_flow``'s batch forms its cubic
-    terms as products where one state uses ``z1**3``, and its branches
-    agree within 1e-15 of the largest component.
+    terms as products where one state uses ``z1**3``, and folds ``eps_hat``
+    into its coefficients and into a forcing pre-scaled once by
+    ``eps_hat*delta_big``, where one state multiplies by them per call; its
+    branches agree within 1e-15 of the largest component.  A batch call
+    must leave its ``t`` and ``state`` arguments unchanged: the ensemble
+    reads them again.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -171,37 +175,61 @@ def scaled_flow(
     b = float(s1)
     eh, nh, dl, ph = float(eps_hat), float(nu_hat), float(delta_big), float(phase)
     om = float(omega_hat)
+    # One state (what ``_dop853`` passes) is computed in Python floats.  A
+    # batch is computed in place from constants folded once here, eps_hat
+    # included in the coefficients and in the forcing:
+    #   zeta2' = b*(zeta1**2 + a*b)*zeta1 + (eh*s2*zeta1**2 + eh*nh)*zeta2
+    #            + (eh*dl*h)(om*t + ph),
+    # where b = +/-1 is an exact sign, applied by adding or subtracting the
+    # cubic term, and zeta1**2 is the product z1 * z1 (NumPy's ``pow`` is
+    # slow for negative bases).  So the branches agree to rounding: within
+    # 1e-15 of the largest component, not bit for bit.  The constants are
+    # 0-d float64 arrays, which NumPy applies to an array without converting
+    # them on every call.
+    c_om, c_ph, c_a, c_ab, c_3b, c_es2, c_2es2, c_enh = map(
+        np.array, (om, ph, a, a * b, 3.0 * b, eh * s2, 2.0 * eh * s2, eh * nh))
+    add_cubic = np.add if b > 0 else np.subtract
+    scaled_forcing = forcing.scaled(eh * dl)
+    top_row = np.array([[0.0], [1.0]])
 
-    # One state (what ``_dop853`` passes) is computed in Python floats, a
-    # batch in arrays written into the output in place.  The batch forms the
-    # cubic terms as products of ``z1 * z1`` (NumPy's ``pow`` is slow for
-    # negative bases), so the branches agree to rounding: within 1e-15 of
-    # the largest component, not bit for bit.
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
         if z.ndim == 1:
             z1, z2 = z.tolist()
             drive = nh * z2 + s2 * z1 * z1 * z2 + dl * forcing(om * t + ph)
             return np.array([z2, a * z1 + b * z1**3 + eh * drive])
         z1, z2 = z[0], z[1]
+        x = t * c_om
+        x += c_ph
+        acc = scaled_forcing(x)
         sq = z1 * z1
-        drive = (s2 * sq + nh) * z2 + dl * forcing(om * t + ph)
-        drive *= eh
-        out = np.empty(z.shape)
-        out[0] = z2
-        np.multiply(b * sq + a, z1, out=out[1])
-        out[1] += drive
+        damp = sq * c_es2
+        damp += c_enh
+        damp *= z2
+        acc += damp
+        sq += c_ab
+        sq *= z1
+        out = z[::-1].copy()  # row 0 is zeta2 and row 1 is written next
+        add_cubic(acc, sq, out=out[1])
         return out
 
     def jac(t: float, z: np.ndarray) -> np.ndarray:
-        z1, z2 = z.tolist() if z.ndim == 1 else z
-        j10 = a + 3.0 * b * z1 * z1 + 2.0 * eh * s2 * z1 * z2
-        j11 = eh * (nh + s2 * z1 * z1)
         if z.ndim == 1:
+            z1, z2 = z.tolist()
+            j10 = a + 3.0 * b * z1 * z1 + 2.0 * eh * s2 * z1 * z2
+            j11 = eh * (nh + s2 * z1 * z1)
             return np.array([0.0, 1.0, j10, j11]).reshape(2, 2)
-        out = np.zeros((2, 2) + np.shape(z1))
-        out[0, 1] = 1.0
-        out[1, 0] = j10
-        out[1, 1] = j11
+        z1, z2 = z[0], z[1]
+        out = np.empty((2,) + z.shape)
+        out[0] = top_row
+        j10, j11 = out[1, 0], out[1, 1]
+        sq = z1 * z1
+        np.multiply(sq, c_es2, out=j11)
+        j11 += c_enh
+        np.multiply(z1, z2, out=j10)
+        j10 *= c_2es2
+        sq *= c_3b
+        sq += c_a
+        j10 += sq
         return out
 
     return FlowSpec(

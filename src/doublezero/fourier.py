@@ -8,7 +8,8 @@ Newton steps on the derivative at the grid arg-max and arg-min).
 
 A series is evaluated on arrays by Clenshaw's recurrence, which needs one
 ``cos`` and at most one ``sin`` of the phases whatever the number of
-harmonics; on one Python float it is summed term by term with ``math``.
+harmonics, or, with at most one harmonic, summed directly in place; on one
+Python float it is summed term by term with ``math``.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ def _clean(coeffs: Mapping[int, float], what: str) -> tuple[tuple[int, float], .
     return tuple(sorted(out.items()))
 
 
-def _clenshaw(coef: dict[int, float], cos_x: np.ndarray | None):
+def _clenshaw(coef: dict[int, float], cos_x: np.ndarray):
     """``(u_1, u_2)`` of the backward recurrence ``u_j = c_j + 2 cos(x) u_{j+1} - u_{j+2}``.
 
     ``coef`` maps the harmonics ``j >= 1`` of one kind to ``c_j``.  Then
     ``sum_j c_j cos(j x) = u_1 cos(x) - u_2`` and ``sum_j c_j sin(j x) =
     u_1 sin(x)``.  Below two harmonics the pair is Python floats and
-    ``cos_x`` is not read, so it may be ``None``.
+    ``cos_x`` is not read.
     """
     top = max(coef, default=0)
     u1, u2 = coef.get(top, 0.0), 0.0
@@ -120,10 +121,11 @@ class TrigPolynomial:
         coefficients (see ``_clenshaw``): one ``cos`` of the input when
         there are cosine harmonics or sine harmonics above the first, one
         ``sin`` when there are sine terms, and three array operations per
-        harmonic of each kind.  With at most one harmonic the recurrences
-        stay in Python floats and the sum is ``a0 + a1*cos(phi) +
-        b1*sin(phi)``, term for term; a constant is its value at every
-        phase.
+        harmonic of each kind.  With at most one harmonic the sum is
+        ``a0 + a1*cos(phi) + b1*sin(phi)``, term for term, formed in place
+        in the array of the first transcendental call; a constant is its
+        value at every phase.  The returned array is always a new one,
+        which the caller may overwrite.
         """
         if isinstance(phi, (float, int)) or getattr(phi, "ndim", None) == 0:
             x = float(phi)
@@ -133,9 +135,29 @@ class TrigPolynomial:
             for j, v in self.sin_terms:
                 total = total + v * math.sin(j * x)
             return total
-        mean, cos_coef, sin_coef = self._series
         x = np.asarray(phi, dtype=float)
-        cos_x = np.cos(x) if cos_coef or max(sin_coef, default=0) > 1 else None
+        first = self._first_harmonic
+        if first is not None:
+            # A zero mean is added too: it turns a product's -0.0 into the
+            # +0.0 of the per-harmonic sum.
+            mean, a1, b1 = first
+            if a1:
+                out = np.cos(x)
+                out *= a1
+                out += mean
+                if b1:
+                    s = np.sin(x)
+                    s *= b1
+                    out += s
+            elif b1:
+                out = np.sin(x)
+                out *= b1
+                out += mean
+            else:
+                out = np.full_like(x, mean)
+            return out
+        mean, cos_coef, sin_coef = self._series
+        cos_x = np.cos(x)
         if cos_coef:
             u1, u2 = _clenshaw(cos_coef, cos_x)
             out = (mean - u2) + u1 * cos_x
@@ -151,6 +173,18 @@ class TrigPolynomial:
         """The mean and the ``{j: c_j}`` maps of the cosine and the sine
         harmonics ``j >= 1``, read by every array evaluation."""
         return self.mean, {j: v for j, v in self.cos_terms if j}, dict(self.sin_terms)
+
+    @cached_property
+    def _first_harmonic(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(a0, a1, b1)`` of a series of at most one harmonic, else ``None``.
+
+        They are 0-d float64 arrays: NumPy applies one to an array with the
+        same result as a Python float but without converting it each call.
+        """
+        if self.max_harmonic > 1:
+            return None
+        mean, cos_coef, sin_coef = self._series
+        return np.array(mean), np.array(cos_coef.get(1, 0.0)), np.array(sin_coef.get(1, 0.0))
 
     def derivative(self) -> "TrigPolynomial":
         cos = {j: j * v for j, v in self.sin_terms}

@@ -167,18 +167,30 @@ GENERIC = dict(
     s1=-1, s2=1, nu1_sign=1, eps_hat=0.2, nu_hat=0.4, omega_hat=0.9,
     delta_big=0.7, forcing=TrigPolynomial({1: 0.8, 3: -0.2}, {2: 0.5}),
 )
+#: Damping sign s2 = -1, a forcing phase and every kind of one-harmonic term.
+PHASED = dict(
+    s1=1, s2=-1, nu1_sign=1, eps_hat=0.15, nu_hat=-0.35, omega_hat=1.2,
+    delta_big=1.6, forcing=TrigPolynomial({0: 0.3, 1: -0.6}, {1: 0.45}), phase=0.7,
+)
+
+
+def phased_flow() -> FlowSpec:
+    return scaled_flow(**PHASED)
+
+
 FLOWS = [
     lambda: scaled_flow(**SPLITTING),
     lambda: scaled_flow(**GENERIC),
     pendulum_saddle_flow,
+    phased_flow,
 ]
 #: ``scaled_flow`` arguments of the builders in ``FLOWS`` that are scaled flows.
-SCALED_ARGS = {FLOWS[0]: SPLITTING, FLOWS[1]: GENERIC}
+SCALED_ARGS = {FLOWS[0]: SPLITTING, FLOWS[1]: GENERIC, phased_flow: PHASED}
 
 
 def scaled_model(args: dict, t: float, z1: float, z2: float) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side and Jacobian of the rescaled planar system, written out."""
-    forcing, phi = args["forcing"], args["omega_hat"] * t
+    forcing, phi = args["forcing"], args["omega_hat"] * t + args.get("phase", 0.0)
     h = sum(v * math.cos(j * phi) for j, v in forcing.cos_terms) + sum(
         v * math.sin(j * phi) for j, v in forcing.sin_terms
     )
@@ -232,6 +244,23 @@ def test_jacobian_evaluates_a_batch_column_by_column(build) -> None:
     )
     assert columns.shape == batched.shape == (flow.dim, flow.dim, 9)
     assert np.max(np.abs(batched - columns)) <= 1e-15 * np.max(np.abs(columns))
+
+
+@pytest.mark.parametrize("build", FLOWS)
+def test_batch_calls_leave_their_arguments_unchanged(build) -> None:
+    # The ensemble passes a row view of its stage-time array and a stage
+    # state it reads again, so a stray in-place operation on an argument
+    # would corrupt later stages without any error.
+    flow = build()
+    rng = np.random.default_rng(9)
+    times = rng.uniform(-3.0, 3.0, size=(3, 9))
+    states = rng.uniform(-1.5, 1.5, size=(flow.dim, 9))
+    t, z = times[1], states
+    for call in (flow.rhs, flow.jacobian):
+        t_before, z_before = t.tobytes(), z.tobytes()
+        value = call(t, z)
+        assert t.tobytes() == t_before and z.tobytes() == z_before
+        assert not np.shares_memory(value, t) and not np.shares_memory(value, z)
 
 
 def variational_leg(flow: FlowSpec, state, t0: float, t1: float):

@@ -71,17 +71,39 @@ PHASES = np.concatenate(
 )
 
 
-@pytest.mark.parametrize(
-    "poly",
-    [cosine(1.3), sine(-0.7), TrigPolynomial({0: 0.4, 1: -1.1}), TrigPolynomial({0: 0.4}, {1: 2.0}),
-     TrigPolynomial({0: -0.2, 1: 0.9}, {1: -0.6}), TrigPolynomial({1: 0.5}, {1: 0.25}),
-     TrigPolynomial({0: 2.5}), TrigPolynomial()],
-)
+#: Every coefficient pattern of at most one harmonic: cos only, sin only,
+#: mixed, with and without a mean, constant and zero.
+ONE_HARMONIC = [
+    cosine(1.3), sine(-0.7), TrigPolynomial({0: 0.4, 1: -1.1}), TrigPolynomial({0: 0.4}, {1: 2.0}),
+    TrigPolynomial({0: -0.2, 1: 0.9}, {1: -0.6}), TrigPolynomial({1: 0.5}, {1: 0.25}),
+    TrigPolynomial({0: 2.5}), TrigPolynomial(),
+]
+
+
+@pytest.mark.parametrize("poly", ONE_HARMONIC)
 def test_one_harmonic_arrays_equal_the_per_harmonic_sum_bitwise(poly: TrigPolynomial) -> None:
     for phi in (PHASES, PHASES.reshape(4, -1)):
         values = poly(phi)
         assert values.shape == phi.shape
         assert values.tobytes() == _per_harmonic_sum(poly, phi).tobytes()
+
+
+@pytest.mark.parametrize(
+    "poly", ONE_HARMONIC + [TrigPolynomial({0: 0.1, 2: 0.7}, {1: 0.2, 3: -0.4})]
+)
+def test_array_evaluation_returns_a_fresh_writable_array(poly: TrigPolynomial) -> None:
+    # Callers such as the batch right-hand side of ``scaled_flow`` add into
+    # the returned array, so it must never be, or alias, the input.
+    for phi in (PHASES, PHASES.reshape(4, -1), PHASES[::3]):
+        before = phi.tobytes()
+        values = poly(phi)
+        assert values.dtype == np.float64 and values.flags.writeable
+        assert not np.shares_memory(values, phi)
+        again = poly(phi)
+        assert not np.shares_memory(values, again)
+        values += 1.0
+        assert phi.tobytes() == before
+        assert again.tobytes() == poly(phi).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0,), (7,), (2, 3)])
