@@ -3,8 +3,9 @@
 Forcing profiles and Melnikov profiles are 2*pi-periodic functions carried
 around as finite Fourier series.  This module provides the small immutable
 container used for them, plus helpers to build one from samples and to locate
-its extrema (grid values from one inverse FFT of the coefficients, then a few
-Newton steps on the derivative at the grid arg-max and arg-min).
+its extrema: ``mean +- hypot(a1, b1)`` for at most one harmonic, otherwise
+grid values from one inverse FFT of the coefficients, then Newton steps on
+the derivative at the grid arg-max and arg-min until they stop moving.
 
 A series is evaluated on arrays by Clenshaw's recurrence, which needs one
 ``cos`` and at most one ``sin`` of the phases whatever the number of
@@ -27,9 +28,12 @@ __all__ = ["TrigPolynomial", "cosine", "sine"]
 
 #: Least number of grid points per period in ``TrigPolynomial.extrema``.
 _EXTREMA_SAMPLES = 4096
-#: Newton steps polishing each grid extremum; a grid point starts within
-#: half a grid step, and the steps converge quadratically from there.
+#: Most Newton steps polishing each grid extremum; a grid point starts
+#: within half a grid step, and the steps converge quadratically from there.
 _NEWTON_STEPS = 6
+#: A Newton step that moves no phase by more than this has converged: a few
+#: ulps of the period.
+_PHASE_ROUNDING = 4.0 * math.ulp(2.0 * math.pi)
 
 
 def _clean(coeffs: Mapping[int, float], what: str) -> tuple[tuple[int, float], ...]:
@@ -214,40 +218,51 @@ class TrigPolynomial:
     def extrema(self) -> tuple[float, float]:
         """Global (max, min) over one period.
 
-        One inverse real FFT of the coefficients gives the values on a
-        uniform grid (``_EXTREMA_SAMPLES`` points, doubled until every
-        harmonic is resolved).  The grid arg-max and arg-min are then
+        A series of at most one harmonic has the closed form ``a0 +- hypot(a1,
+        b1)``.  Otherwise one inverse real FFT of the coefficients gives the
+        values on a uniform grid (``_EXTREMA_SAMPLES`` points, doubled until
+        every harmonic is resolved).  The grid arg-max and arg-min are then
         polished by Newton steps on ``f'/f''``, each kept inside the grid
-        bracket around its start; a polished value replaces the grid value
-        only when it is the more extreme one.
+        bracket around its start, until no phase moves by more than
+        rounding (at most ``_NEWTON_STEPS`` steps); a polished value
+        replaces the grid value only when it is the more extreme one.
         """
-        if self.is_zero():
-            return (0.0, 0.0)
+        first = self._first_harmonic
+        if first is not None:
+            mean, a1, b1 = (float(v) for v in first)
+            r = math.hypot(a1, b1)
+            return (mean + r, mean - r)
         # f(phi) = Re sum_j c_j exp(i j phi) with c_j = a_j - i b_j.
-        c = np.zeros(self.max_harmonic + 1, dtype=complex)
-        for j, v in self.cos_terms:
-            c[j] += v
-        for j, v in self.sin_terms:
-            c[j] -= 1j * v
+        top = self.max_harmonic
+        ab = np.zeros((top + 1, 2))
+        for column, terms in enumerate((self.cos_terms, self.sin_terms)):
+            if terms:
+                j, v = zip(*terms)
+                ab[j, column] = v
+        c = ab.view(complex)[:, 0].conj()
         n = _EXTREMA_SAMPLES
-        while n <= 2 * self.max_harmonic:
+        while n <= 2 * top:
             n *= 2
         spec = 0.5 * n * c
         spec[0] *= 2.0
         vals = np.fft.irfft(spec, n)
         step = 2.0 * math.pi / n
         i_max, i_min = int(np.argmax(vals)), int(np.argmin(vals))
-        start = np.array([i_max, i_min]) * step
+        phi = np.array([i_max, i_min]) * step
+        lower, upper = phi - step, phi + step
         ij = 1j * np.arange(c.size)
-        c1, c2 = c * ij, c * ij**2  # spectra of f' and f''
+        spectra = np.stack([c, c * ij, c * ij**2], axis=1)  # of f, f' and f''
 
-        phi = start
         for _ in range(_NEWTON_STEPS):
-            basis = np.exp(np.outer(phi, ij))
-            d1, d2 = (basis @ c1).real, (basis @ c2).real
+            value, d1, d2 = (np.exp(phi[:, None] * ij) @ spectra).real.T
             shift = np.divide(d1, d2, out=np.zeros(2), where=d2 != 0.0)
-            phi = np.clip(phi - shift, start - step, start + step)
-        hi, lo = (np.exp(np.outer(phi, ij)) @ c).real
+            moved = np.minimum(np.maximum(phi - shift, lower), upper)
+            if abs(moved - phi).max() <= _PHASE_ROUNDING:
+                break
+            phi = moved
+        else:
+            value = (np.exp(phi[:, None] * ij) @ c).real
+        hi, lo = value
         return (max(float(hi), float(vals[i_max])), min(float(lo), float(vals[i_min])))
 
     # -- construction helpers ----------------------------------------------

@@ -8,7 +8,8 @@ point reduce to one of three conservative oscillators
 whose bounded orbits are expressible in Jacobi elliptic functions.  This
 module provides the six orbit families (two separatrix pairs and four
 periodic families), their closed-form periods, energies, and actions,
-plus the resonance solver used by the subharmonic analysis.
+plus the resonance solver used by the subharmonic analysis (Brent's
+method on the closed-form period).
 
 Family atlas
 ------------
@@ -39,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .elliptic import (
     K_MODULUS_CUTOFF,
@@ -332,7 +334,7 @@ def period(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
 
 
 def period_derivative(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
-    """Closed-form ``dT/dk`` of a periodic family (used by the resonance solver)."""
+    """Closed-form ``dT/dk`` of a periodic family."""
     fam = _as_kind(family)
     _require_periodic(fam)
     kv = _checked_modulus(fam, k)
@@ -377,7 +379,9 @@ def freq_action_derivative_sign(family: FamilyKind | FamilyTag) -> int:
 
 # Residual acceptance for the resonance condition |n*T - m*T_hat| <= tol*T_hat.
 _RESONANCE_RTOL = 1e-12
-_BISECTION_MAX_ITER = 200
+# Relative root tolerance of Brent's method, a few ulps; its absolute tolerance
+# is the least positive float, so this alone sets where the search stops.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
 # Modulus clamps keeping K(k) finite and the elliptic evaluations accurate.
 _K_CLAMP_LO = 1e-9
 _K_CLAMP_HI = 1.0 - 1e-10
@@ -392,15 +396,23 @@ def resonant_modulus(
     """Solve the resonance condition ``n * T(k) = m * (2*pi/omega_hat)`` for ``k``.
 
     The period map ``k -> T(k)`` of each periodic family is strictly
-    monotone, so the root is located by bisection (with a Newton polish
-    using the closed-form ``dT/dk``).
+    monotone.  Brent's method (``scipy.optimize.brentq``) finds the root
+    of the closed-form period on the clamped modulus range in the variable
+    ``x = log(1 - k**2)``.  As ``k -> 1`` the period grows like ``-x/2``,
+    linear in ``x`` where it is logarithmic in ``k``, and steps in ``x``
+    resolve ``k`` to its last bit; as ``k -> 0`` it is analytic in ``k**2``,
+    which is about ``-x`` there.  The search stops at the first modulus that
+    meets ``|n*T(k) - m*T_hat| <= 1e-12 * T_hat``, after about a dozen
+    period evaluations; a clamped end of the range that already meets it
+    is returned as it is.
 
     Raises
     ------
     ResonanceViolation
         If ``m`` and ``n`` are not coprime positive integers.
     NoResonance
-        If the target period lies outside the family's period range.
+        If the target period lies outside the family's period range, or no
+        modulus meets the residual tolerance.
     """
     fam = _as_kind(family)
     _require_periodic(fam)
@@ -414,59 +426,40 @@ def resonant_modulus(
     t_hat = 2.0 * math.pi / omega_hat
     target = m * t_hat / n  # T(k) sought
     tol = _RESONANCE_RTOL * t_hat
+    c, s, quarters = _TIME_SCALE[fam.tag]
+
+    def modulus(x: float) -> float:
+        return math.sqrt(-math.expm1(x))
+
+    def excess(x: float) -> float:
+        """``T(k) - target`` at ``k = modulus(x)``, and 0 where it is within tolerance."""
+        kv = modulus(x)
+        g = quarters * complete_K(kv) * math.sqrt(c + s * kv * kv) - target
+        return 0.0 if abs(n * g) <= tol else g
 
     lo, hi = modulus_range(fam)
     k_lo = max(lo + _K_CLAMP_LO * (hi - lo), _K_CLAMP_LO)
     k_hi = min(hi - _K_CLAMP_LO * (hi - lo), _K_CLAMP_HI)
+    ends = (math.log1p(-k_lo * k_lo), math.log1p(-k_hi * k_hi))
 
-    g_lo = period(fam, k_lo) - target
-    g_hi = period(fam, k_hi) - target
+    g_ends = [excess(x) for x in ends]
     # Accept a clamped endpoint when the resonance already holds there
     # (covers targets at the family's period infimum, e.g. T -> 2*pi).
-    if abs(n * g_lo) <= tol:
-        return EllipticModulus(k_lo)
-    if abs(n * g_hi) <= tol:
-        return EllipticModulus(k_hi)
-    if g_lo * g_hi > 0.0:
+    for x, g in zip(ends, g_ends):
+        if g == 0.0:
+            return EllipticModulus(modulus(x))
+    if g_ends[0] * g_ends[1] > 0.0:
+        t_lo, t_hi = (g + target for g in g_ends)
         raise NoResonance(
             f"target period {target!r} outside the attainable range "
-            f"[{min(period(fam, k_lo), period(fam, k_hi))!r}, "
-            f"{max(period(fam, k_lo), period(fam, k_hi))!r}] "
+            f"[{min(t_lo, t_hi)!r}, {max(t_lo, t_hi)!r}] "
             f"of family {fam.tag.value!r} (m={m}, n={n}, omega_hat={omega_hat!r})"
         )
 
-    a, b = k_lo, k_hi
-    ga = g_lo
-    for _ in range(_BISECTION_MAX_ITER):
-        mid = 0.5 * (a + b)
-        gm = period(fam, mid) - target
-        if abs(n * gm) <= tol or (b - a) < 1e-16 * max(1.0, mid):
-            a = b = mid
-            break
-        if ga * gm <= 0.0:
-            b = mid
-        else:
-            a, ga = mid, gm
-    k_root = 0.5 * (a + b)
-
-    # Newton polish: the bisection root is already near machine accuracy,
-    # but one derivative step tightens the residual when dT/dk is benign.
-    for _ in range(3):
-        resid = period(fam, k_root) - target
-        if abs(n * resid) <= tol:
-            break
-        slope = period_derivative(fam, k_root)
-        if slope == 0.0:
-            break
-        step = resid / slope
-        candidate = k_root - step
-        if not (k_lo <= candidate <= k_hi):
-            break
-        k_root = candidate
-
-    if abs(n * (period(fam, k_root) - target)) > tol:
+    x_root = brentq(excess, *ends, xtol=math.ulp(0.0), rtol=_BRENT_RTOL, disp=False)
+    if excess(x_root) != 0.0:
         raise NoResonance(
-            f"resonance residual above tolerance at k={k_root!r} "
+            f"resonance residual above tolerance at k={modulus(x_root)!r} "
             f"(family {fam.tag.value!r}, m={m}, n={n}, omega_hat={omega_hat!r})"
         )
-    return EllipticModulus(k_root)
+    return EllipticModulus(modulus(x_root))

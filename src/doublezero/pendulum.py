@@ -475,10 +475,8 @@ def _pullback(
         width = max(abs(direction[0]), abs(direction[1]))
         t_max = extent / width if width > 0.0 else 0.0
         ts = np.linspace(0.0, curve.nu1_sign * t_max, samples)
-        pts = tuple(
-            (loc.alpha0 + float(t * direction[0]), loc.gamma0 + float(t * direction[1]))
-            for t in ts
-        )
+        ray = np.stack([loc.alpha0 + ts * direction[0], loc.gamma0 + ts * direction[1]], axis=1)
+        pts = tuple(map(tuple, ray.tolist()))
         out.append(
             ParameterPlaneCurve(
                 kind=curve.kind,

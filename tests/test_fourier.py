@@ -203,6 +203,49 @@ def test_extrema_certified_against_dense_sampling() -> None:
         assert lo == pytest.approx(bottom, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "poly, expected",
+    [
+        (cosine(0.75), (0.75, -0.75)),
+        (sine(-1.25), (1.25, -1.25)),
+        (TrigPolynomial({0: 0.5, 1: 3.0}, {1: -4.0}), (5.5, -4.5)),
+        (TrigPolynomial({0: -0.3}), (-0.3, -0.3)),
+        (TrigPolynomial(), (0.0, 0.0)),
+    ],
+)
+def test_one_harmonic_extrema_are_the_closed_form(poly: TrigPolynomial, expected) -> None:
+    """At most one harmonic: the extrema are ``mean +- hypot(a1, b1)``, exactly."""
+    assert poly.extrema() == expected
+
+
+@st.composite
+def _multi_harmonic_profiles(draw) -> TrigPolynomial:
+    top = draw(st.integers(2, 64))
+    coef = st.floats(-1.0, 1.0)
+    cos = draw(st.lists(coef, min_size=top, max_size=top))
+    sin = draw(st.lists(coef, min_size=top - 1, max_size=top - 1))
+    lead = draw(st.floats(0.05, 1.0))  # keeps harmonic ``top`` present
+    return TrigPolynomial(dict(enumerate(cos + [lead])), dict(enumerate(sin, start=1)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(poly=_multi_harmonic_profiles())
+def test_extrema_property_against_refined_dense_sampling(poly: TrigPolynomial) -> None:
+    """The extrema bracket every sample of a dense grid refined around its
+    arg-max and arg-min, and those samples reach them to 1e-13 of the
+    coefficient norm."""
+    grid = np.linspace(0.0, 2.0 * math.pi, 200001)
+    step = grid[1]
+    hi, lo = poly.extrema()
+    vals = poly(grid)
+    top_at, bottom_at = grid[np.argmax(vals)], grid[np.argmin(vals)]
+    top = float(poly(np.linspace(top_at - step, top_at + step, 20001)).max())
+    bottom = float(poly(np.linspace(bottom_at - step, bottom_at + step, 20001)).min())
+    scale = poly.coefficient_norm()
+    assert top - 1e-14 * scale <= hi <= top + 1e-13 * scale
+    assert bottom - 1e-13 * scale <= lo <= bottom + 1e-14 * scale
+
+
 def test_pure_cosine_extrema_are_exact() -> None:
     hi, lo = cosine(0.75).extrema()
     assert hi == pytest.approx(0.75, abs=1e-13)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from doublezero import orbits
 from doublezero.errors import DomainError, NoResonance, ResonanceViolation
 from doublezero.melnikov import j_integrals
 from doublezero.orbits import (
@@ -266,6 +267,34 @@ def test_resonant_modulus_solves_the_period_condition() -> None:
         assert n * period(tag, k) == pytest.approx(
             m * 2.0 * math.pi / omega_hat, rel=1e-11
         )
+
+
+@pytest.mark.parametrize("tag", sorted(PERIODIC_TAGS, key=lambda t: t.value))
+def test_resonant_modulus_meets_the_residual_in_few_period_evaluations(
+    tag: FamilyTag, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Near both ends of the range and at its midpoint, the solver meets the
+    resonance tolerance within 20 evaluations of K(k); a bisection to the
+    same tolerance needs up to 56 or 57 here for every family."""
+    lo, hi = modulus_range(tag)
+    targets = [(k0, period(tag, k0)) for k0 in (lo + 1e-6, 0.5 * (lo + hi), hi - 1e-6)]
+    calls = []
+    complete_k = orbits.complete_K
+
+    def counted(k):
+        calls.append(k)
+        return complete_k(k)
+
+    monkeypatch.setattr(orbits, "complete_K", counted)
+    for k0, t0 in targets:
+        for m, n in ((1, 1), (3, 2), (5, 3)):
+            omega_hat = 2.0 * math.pi * m / (n * t0)
+            t_hat = 2.0 * math.pi / omega_hat
+            calls.clear()
+            k = resonant_modulus(tag, m, n, omega_hat)
+            assert len(calls) <= 20, (k0, m, n, len(calls))
+            residual = abs(n * period(tag, k) - m * t_hat)
+            assert residual <= orbits._RESONANCE_RTOL * t_hat, (k0, m, n, residual)
 
 
 def test_resonance_error_conditions() -> None:

@@ -30,6 +30,7 @@ from doublezero.pendulum import (
     vector_field,
     vector_field_jacobian,
 )
+from doublezero.pendulum import _reduction_matrix
 
 # Frozen values for the two study configurations (gain plane, scaling, and
 # steady states), computed once from the closed forms and pinned here so a
@@ -366,11 +367,20 @@ def _reduced_point(p: PendulumParams, alpha: float, gamma: float):
     (FamilyTag.OUTSIDE_HOM, 1, 0.8, example_theta_pi),
 ])
 def test_prediction_curves_are_reduced_plane_rays(family, m, omega_hat, factory):
-    """Each emitted ray pulls back to nu2 = slope*nu1 on the right half-plane."""
+    """Each emitted ray pulls back to nu2 = slope*nu1 on the right half-plane,
+    and its points are the per-point float sums ``alpha0 + t*direction``."""
     p = factory(1.25, FAMILY_THETA0[family].sigma * -1.2)
-    curves = prediction_curves(p, family, m, omega_hat, 1.0, extent=0.25, samples=9)
+    curves = prediction_curves(p, family, m, omega_hat, 1.0, extent=0.25)
     assert curves, "family emitted no curves"
+    inv = np.linalg.inv(_reduction_matrix(p)[1])
     for curve in curves:
+        direction = inv @ np.array([1.0, curve.slope])
+        t_max = 0.25 / max(abs(direction[0]), abs(direction[1]))
+        assert curve.points == tuple(
+            (curve.alpha0 + float(t * direction[0]), curve.gamma0 + float(t * direction[1]))
+            for t in np.linspace(0.0, curve.nu1_sign * t_max, 33)
+        )
+        assert all(type(x) is float for pt in curve.points for x in pt)
         assert curve.curve_set == family.value
         assert curve.alpha0 == pytest.approx(1.0, abs=1e-14)
         assert curve.points[0] == pytest.approx((curve.alpha0, curve.gamma0))
