@@ -356,16 +356,8 @@ def _transition(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Final state and state-transition matrix of one time segment."""
     n = flow.dim
-
-    def aug_rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x = y[:n]
-        out = np.empty_like(y)
-        out[:n] = flow.rhs(t, x)
-        np.matmul(flow.jacobian(t, x), y[n:].reshape(n, n), out=out[n:].reshape(n, n))
-        return out
-
     y0 = np.concatenate([state, np.eye(n).ravel()])
-    yf = _dop853(aug_rhs, y0, t0, t1, flow.abs_tol, flow.rel_tol)
+    yf = _dop853(_variational_rhs(flow), y0, t0, t1, flow.abs_tol, flow.rel_tol)
     return yf[:n], yf[n:].reshape(n, n)
 
 
@@ -527,7 +519,10 @@ def _integrate_legs(
 
 
 def _variational_rhs(flow: FlowSpec):
-    """Batched flow with its transition matrices, ``dim + dim*dim`` rows per member."""
+    """The flow with its transition matrix, ``dim + dim*dim`` rows per member.
+
+    One state (a 1-D ``y``) and a batch (one column per member) share it.
+    """
     n = flow.dim
 
     def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -1,22 +1,30 @@
 """Real trigonometric polynomials on the circle.
 
 Forcing profiles and Melnikov profiles are 2*pi-periodic functions carried
-around as finite Fourier series.  This module provides the small immutable
-container used for them, plus helpers to build one from samples and to locate
-its extrema: ``mean +- hypot(a1, b1)`` for at most one harmonic, otherwise
-grid values from one inverse FFT of the coefficients, then Newton steps on
-the derivative at the grid arg-max and arg-min until they stop moving.
+as finite Fourier series.  A series is one read-only complex array, its
+spectrum ``c_j = a_j - i*b_j`` (``j = 0 .. max_harmonic``), with ``f(phi) =
+Re sum_j c_j exp(i*j*phi)``; scaling, sums and the projections in
+``melnikov`` are array arithmetic on it.
 
-A series is evaluated on arrays by Clenshaw's recurrence, which needs one
-``cos`` and at most one ``sin`` of the phases whatever the number of
-harmonics, or, with at most one harmonic, summed directly in place; on one
-Python float it is summed term by term with ``math``.
+Arrays are evaluated by Horner's rule in ``z = exp(i*phi)``, two in-place
+complex operations per harmonic; with ``|z| = 1`` its error stays a few
+ulps of ``coefficient_norm()`` at any phase and harmonic count.  Two paths
+stay for the callers that need them:
+
+* a Python float is summed term by term with ``math``: the single-state
+  integrator evaluates the forcing once per right-hand side, where an
+  array round trip costs more than the sum;
+* with at most one harmonic an array gets ``a0 + a1*cos(phi) +
+  b1*sin(phi)`` formed in place: the batch right-hand side of manifold
+  tracing evaluates such a forcing on every stage.
+
+``extrema`` is ``mean +- hypot(a1, b1)`` for at most one harmonic, else
+the arg-max and arg-min of one inverse FFT, polished by Newton steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -36,82 +44,117 @@ _NEWTON_STEPS = 6
 _PHASE_ROUNDING = 4.0 * math.ulp(2.0 * math.pi)
 
 
-def _clean(coeffs: Mapping[int, float], what: str) -> tuple[tuple[int, float], ...]:
-    out: dict[int, float] = {}
-    for j, v in coeffs.items():
-        j = int(j)
-        v = float(v)
-        if j < 0:
-            raise DomainError(f"{what} harmonic index must be >= 0, got {j}")
-        if v != 0.0:
-            out[j] = out.get(j, 0.0) + v
-    return tuple(sorted(out.items()))
-
-
-def _clenshaw(coef: dict[int, float], cos_x: np.ndarray):
-    """``(u_1, u_2)`` of the backward recurrence ``u_j = c_j + 2 cos(x) u_{j+1} - u_{j+2}``.
-
-    ``coef`` maps the harmonics ``j >= 1`` of one kind to ``c_j``.  Then
-    ``sum_j c_j cos(j x) = u_1 cos(x) - u_2`` and ``sum_j c_j sin(j x) =
-    u_1 sin(x)``.  Below two harmonics the pair is Python floats and
-    ``cos_x`` is not read.
-    """
-    top = max(coef, default=0)
-    u1, u2 = coef.get(top, 0.0), 0.0
-    if top > 1:
-        two_cos = 2.0 * cos_x
-        for j in range(top - 1, 0, -1):
-            u1, u2 = coef.get(j, 0.0) + two_cos * u1 - u2, u1
-    return u1, u2
-
-
-@dataclass(frozen=True, init=False)
 class TrigPolynomial:
     """Finite real Fourier series  a0 + sum_j (a_j cos(j*phi) + b_j sin(j*phi)).
 
     Parameters
     ----------
     cos_terms, sin_terms
-        Mappings ``harmonic -> coefficient``.  Harmonic 0 is only meaningful
-        for ``cos_terms`` (the mean); a ``sin`` term at harmonic 0 is ignored
-        because sin(0) = 0.
+        Mappings (or iterables of pairs) ``harmonic -> coefficient``.
+        Harmonic 0 is only meaningful for ``cos_terms`` (the mean); a
+        ``sin`` term at harmonic 0 is ignored because sin(0) = 0.
+
+    Attributes
+    ----------
+    spectrum
+        Read-only complex array ``c_j = a_j - i*b_j``, ``j = 0 ..
+        max_harmonic``; its last entry is nonzero unless the series is zero.
+
+    Series are values: they compare, hash and print by their nonzero terms.
     """
 
-    cos_terms: tuple[tuple[int, float], ...] = ()
-    sin_terms: tuple[tuple[int, float], ...] = ()
+    spectrum: np.ndarray
 
     def __init__(
         self,
         cos_terms: Mapping[int, float] | Iterable[tuple[int, float]] = (),
         sin_terms: Mapping[int, float] | Iterable[tuple[int, float]] = (),
     ) -> None:
-        cos_map = dict(cos_terms)
         sin_map = dict(sin_terms)
         sin_map.pop(0, None)
-        object.__setattr__(self, "cos_terms", _clean(cos_map, "cos"))
-        object.__setattr__(self, "sin_terms", _clean(sin_map, "sin"))
+        index: list[int] = []
+        value: list[complex] = []
+        for what, terms in (("cos", dict(cos_terms)), ("sin", sin_map)):
+            for j, v in terms.items():
+                j, v = int(j), float(v)
+                if j < 0:
+                    raise DomainError(f"{what} harmonic index must be >= 0, got {j}")
+                index.append(j)
+                value.append(complex(v, 0.0) if what == "cos" else complex(0.0, -v))
+        c = np.zeros(max(index, default=0) + 1, dtype=complex)
+        np.add.at(c, index, value)
+        self._set(c)
+
+    def _set(self, c: np.ndarray) -> None:
+        """Make ``c``, trimmed of trailing zero harmonics, the read-only spectrum."""
+        if c.size > 1 and c[-1] == 0.0:
+            nonzero = np.flatnonzero(c)
+            c = c[: nonzero[-1] + 1 if nonzero.size else 1]
+        c.flags.writeable = False
+        object.__setattr__(self, "spectrum", c)
+        object.__setattr__(self, "_terms", None)
+
+    @classmethod
+    def _of(cls, c: np.ndarray) -> "TrigPolynomial":
+        """The series of a fresh spectrum array, which it takes over."""
+        poly = object.__new__(cls)
+        poly._set(c)
+        return poly
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"TrigPolynomial is immutable; cannot set {name!r}")
+
+    def _nonzero_terms(self) -> tuple[tuple[tuple[int, float], ...], tuple[tuple[int, float], ...]]:
+        """The nonzero ``(j, a_j)`` and ``(j, b_j)`` pairs in ascending ``j``.
+
+        Made on first use into a plain attribute: a ``cached_property`` is
+        read through the instance ``__dict__``, several times slower, and
+        the scalar evaluation reads the pairs on every call.
+        """
+        if self._terms is None:
+            terms = []
+            for part in (self.spectrum.real, -self.spectrum.imag):
+                j = np.flatnonzero(part)
+                terms.append(tuple(zip(j.tolist(), part[j].tolist())))
+            object.__setattr__(self, "_terms", tuple(terms))
+        return self._terms
+
+    @property
+    def cos_terms(self) -> tuple[tuple[int, float], ...]:
+        return self._nonzero_terms()[0]
+
+    @property
+    def sin_terms(self) -> tuple[tuple[int, float], ...]:
+        return self._nonzero_terms()[1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrigPolynomial):
+            return NotImplemented
+        return self._nonzero_terms() == other._nonzero_terms()
+
+    def __hash__(self) -> int:
+        return hash(self._nonzero_terms())
+
+    def __repr__(self) -> str:
+        return f"TrigPolynomial(cos_terms={self.cos_terms!r}, sin_terms={self.sin_terms!r})"
 
     # -- basic queries ----------------------------------------------------
     @property
     def mean(self) -> float:
         """Average over one period (the constant Fourier term)."""
-        return dict(self.cos_terms).get(0, 0.0)
+        return float(self.spectrum[0].real)
 
     @property
     def max_harmonic(self) -> int:
-        idx = [j for j, _ in self.cos_terms] + [j for j, _ in self.sin_terms]
-        return max(idx) if idx else 0
+        return self.spectrum.size - 1
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for _, v in self.cos_terms) and all(
-            abs(v) <= tol for _, v in self.sin_terms
-        )
+        """Whether every ``|a_j|`` and every ``|b_j|`` is at most ``tol``."""
+        return bool(np.abs(self.spectrum.view(float)).max() <= tol)
 
     def coefficient_norm(self) -> float:
         """Sum of absolute coefficient values (an upper bound for |f|)."""
-        return sum(abs(v) for _, v in self.cos_terms) + sum(
-            abs(v) for _, v in self.sin_terms
-        )
+        return float(np.abs(self.spectrum.view(float)).sum())
 
     # -- evaluation -------------------------------------------------------
     def __call__(self, phi):
@@ -119,24 +162,20 @@ class TrigPolynomial:
 
         A Python number, a NumPy scalar or a 0-d array returns a ``float``,
         summed term by term in Python floats with ``math.cos`` and
-        ``math.sin``: an integrator calls the forcing this way once per
-        right-hand side.  Any other input returns an array of its shape,
-        summed by the Clenshaw recurrences of the cosine and the sine
-        coefficients (see ``_clenshaw``): one ``cos`` of the input when
-        there are cosine harmonics or sine harmonics above the first, one
-        ``sin`` when there are sine terms, and three array operations per
-        harmonic of each kind.  With at most one harmonic the sum is
-        ``a0 + a1*cos(phi) + b1*sin(phi)``, term for term, formed in place
-        in the array of the first transcendental call; a constant is its
-        value at every phase.  The returned array is always a new one,
+        ``math.sin``.  Any other input returns an array of its shape: with
+        at most one harmonic ``a0 + a1*cos(phi) + b1*sin(phi)``, term for
+        term, formed in place in the array of the first transcendental call
+        (a constant is its value at every phase); otherwise Horner's rule
+        in ``z = exp(i*phi)``.  The returned array is always a new one,
         which the caller may overwrite.
         """
         if isinstance(phi, (float, int)) or getattr(phi, "ndim", None) == 0:
             x = float(phi)
+            cos_terms, sin_terms = self._terms or self._nonzero_terms()
             total = 0.0
-            for j, v in self.cos_terms:
+            for j, v in cos_terms:
                 total = total + v * math.cos(j * x)
-            for j, v in self.sin_terms:
+            for j, v in sin_terms:
                 total = total + v * math.sin(j * x)
             return total
         x = np.asarray(phi, dtype=float)
@@ -160,23 +199,13 @@ class TrigPolynomial:
             else:
                 out = np.full_like(x, mean)
             return out
-        mean, cos_coef, sin_coef = self._series
-        cos_x = np.cos(x)
-        if cos_coef:
-            u1, u2 = _clenshaw(cos_coef, cos_x)
-            out = (mean - u2) + u1 * cos_x
-        else:
-            out = np.full_like(x, mean)
-        if sin_coef:
-            w1, _ = _clenshaw(sin_coef, cos_x)
-            out = out + w1 * np.sin(x)
-        return out
-
-    @cached_property
-    def _series(self) -> tuple[float, dict[int, float], dict[int, float]]:
-        """The mean and the ``{j: c_j}`` maps of the cosine and the sine
-        harmonics ``j >= 1``, read by every array evaluation."""
-        return self.mean, {j: v for j, v in self.cos_terms if j}, dict(self.sin_terms)
+        c = self.spectrum
+        z = np.exp(1j * x)
+        acc = z * c[-1]
+        for cj in c[-2:0:-1]:
+            acc += cj
+            acc *= z
+        return acc.real + c[0].real
 
     @cached_property
     def _first_harmonic(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -187,39 +216,32 @@ class TrigPolynomial:
         """
         if self.max_harmonic > 1:
             return None
-        mean, cos_coef, sin_coef = self._series
-        return np.array(mean), np.array(cos_coef.get(1, 0.0)), np.array(sin_coef.get(1, 0.0))
-
-    def derivative(self) -> "TrigPolynomial":
-        cos = {j: j * v for j, v in self.sin_terms}
-        sin = {j: -j * v for j, v in self.cos_terms if j > 0}
-        return TrigPolynomial(cos, sin)
+        c0, c1 = np.append(self.spectrum, 0j)[:2]
+        return np.array(c0.real), np.array(c1.real), np.array(-c1.imag)
 
     # -- algebra ----------------------------------------------------------
     def scaled(self, factor: float) -> "TrigPolynomial":
-        return TrigPolynomial(
-            {j: factor * v for j, v in self.cos_terms},
-            {j: factor * v for j, v in self.sin_terms},
-        )
+        # Scaling the interleaved (a_j, -b_j) pairs multiplies each
+        # coefficient once, as a complex product would not.
+        return TrigPolynomial._of((self.spectrum.view(float) * factor).view(complex))
 
     def __neg__(self) -> "TrigPolynomial":
-        return self.scaled(-1.0)
+        return TrigPolynomial._of(-self.spectrum)
 
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        cos = dict(self.cos_terms)
-        for j, v in other.cos_terms:
-            cos[j] = cos.get(j, 0.0) + v
-        sin = dict(self.sin_terms)
-        for j, v in other.sin_terms:
-            sin[j] = sin.get(j, 0.0) + v
-        return TrigPolynomial(cos, sin)
+        a, b = self.spectrum, other.spectrum
+        if a.size < b.size:
+            a, b = b, a
+        out = a.copy()
+        out[: b.size] += b
+        return TrigPolynomial._of(out)
 
     # -- extrema ----------------------------------------------------------
     def extrema(self) -> tuple[float, float]:
         """Global (max, min) over one period.
 
         A series of at most one harmonic has the closed form ``a0 +- hypot(a1,
-        b1)``.  Otherwise one inverse real FFT of the coefficients gives the
+        b1)``.  Otherwise one inverse real FFT of the spectrum gives the
         values on a uniform grid (``_EXTREMA_SAMPLES`` points, doubled until
         every harmonic is resolved).  The grid arg-max and arg-min are then
         polished by Newton steps on ``f'/f''``, each kept inside the grid
@@ -232,16 +254,9 @@ class TrigPolynomial:
             mean, a1, b1 = (float(v) for v in first)
             r = math.hypot(a1, b1)
             return (mean + r, mean - r)
-        # f(phi) = Re sum_j c_j exp(i j phi) with c_j = a_j - i b_j.
-        top = self.max_harmonic
-        ab = np.zeros((top + 1, 2))
-        for column, terms in enumerate((self.cos_terms, self.sin_terms)):
-            if terms:
-                j, v = zip(*terms)
-                ab[j, column] = v
-        c = ab.view(complex)[:, 0].conj()
+        c = self.spectrum
         n = _EXTREMA_SAMPLES
-        while n <= 2 * top:
+        while n <= 2 * self.max_harmonic:
             n *= 2
         spec = 0.5 * n * c
         spec[0] *= 2.0
@@ -264,27 +279,6 @@ class TrigPolynomial:
             value = (np.exp(phi[:, None] * ij) @ c).real
         hi, lo = value
         return (max(float(hi), float(vals[i_max])), min(float(lo), float(vals[i_min])))
-
-    # -- construction helpers ----------------------------------------------
-    @staticmethod
-    def from_samples(values: np.ndarray, n_harmonics: int = 64) -> "TrigPolynomial":
-        """Least-squares Fourier fit of uniform samples over one period.
-
-        ``values[i]`` is the function at ``phi = 2*pi*i/len(values)``.  The
-        series is truncated to ``n_harmonics`` harmonics.
-        """
-        values = np.asarray(values, dtype=float)
-        n = values.size
-        if n < 2:
-            raise DomainError("need at least two samples per period")
-        spec = np.fft.rfft(values) / n
-        n_keep = min(n_harmonics, spec.size - 1)
-        cos = {0: float(spec[0].real)}
-        sin: dict[int, float] = {}
-        for j in range(1, n_keep + 1):
-            cos[j] = 2.0 * float(spec[j].real)
-            sin[j] = -2.0 * float(spec[j].imag)
-        return TrigPolynomial(cos, sin)
 
 
 def cosine(amplitude: float, harmonic: int = 1) -> TrigPolynomial:

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elliptic import EllipticModulus, complete_E, complete_K
 from .errors import DomainError, ResonanceViolation
 from .fourier import TrigPolynomial
@@ -200,9 +202,14 @@ def h_hat(
     """Project a mean-zero forcing profile onto a separatrix velocity kernel.
 
     The projection ``h_hat(phi) = integral over t of zeta2(t) *
-    h(omega_hat*t + phi)`` is assembled harmonic-by-harmonic with the
-    closed-form spectral weights, so the result is again a trigonometric
-    polynomial in ``phi``.
+    h(omega_hat*t + phi)`` is a convolution, so on the spectrum ``c_j = a_j
+    - i*b_j`` of ``h`` it is a multiplication by the kernel's transfer
+    function at ``chi = j*omega_hat``: ``s*W(chi)`` for the even
+    saddle-to-saddle kernel (each harmonic keeps its phase) and
+    ``-i*s*U(chi)`` for the odd saddle-loop kernel (cosines become sines
+    and sines negated cosines), with the weights of `fourier_weight_het`
+    and `fourier_weight_hom` and the branch sign ``s``.  The mean is not
+    projected.
 
     Parameters
     ----------
@@ -220,28 +227,14 @@ def h_hat(
         raise DomainError(f"omega_hat must be positive, got {omega_hat!r}")
     _require_mean_zero(profile_h)
 
+    c = profile_h.spectrum
     s = float(fam.sign)
-    cos_out: dict[int, float] = {}
-    sin_out: dict[int, float] = {}
     if fam.tag is FamilyTag.HET_PAIR:
-        # Even kernel: each harmonic keeps its phase, scaled by the weight.
-        for j, a in profile_h.cos_terms:
-            if j > 0:
-                cos_out[j] = s * fourier_weight_het(j * omega_hat) * a
-        for j, b in profile_h.sin_terms:
-            sin_out[j] = s * fourier_weight_het(j * omega_hat) * b
+        weight, unit = fourier_weight_het, s
     else:
-        # Odd kernel: cosine harmonics project onto sines and vice versa.
-        for j, a in profile_h.cos_terms:
-            if j > 0:
-                sin_out[j] = s * fourier_weight_hom(j * omega_hat) * a
-        for j, b in profile_h.sin_terms:
-            cos_out[j] = -s * fourier_weight_hom(j * omega_hat) * b
-
-    poly = TrigPolynomial(
-        cos_terms=tuple(sorted(cos_out.items())),
-        sin_terms=tuple(sorted(sin_out.items())),
-    )
+        weight, unit = fourier_weight_hom, -1j * s
+    transfer = np.array([0.0] + [weight(j * omega_hat) for j in range(1, c.size)])
+    poly = TrigPolynomial._of(c * (unit * transfer))
     return MelnikovProfile.from_trig(poly, family=fam, omega_hat=float(omega_hat))
 
 
@@ -257,16 +250,19 @@ def h_hat_subharmonic(
 
     Computes ``h_hat_mn(phi) = integral over [0, m*T_hat] of zeta2(t) *
     h(omega_hat*t + phi)`` for an orbit satisfying the resonance
-    ``n*T(k) = m*T_hat``.  The integral is evaluated spectrally: forcing
-    harmonic ``j`` overlaps only the orbit harmonic ``q = j*m/n`` of
-    ``zeta2``, so only harmonics ``j`` divisible by ``n`` survive, each
-    scaled by ``m*T_hat`` times the Fourier coefficient ``c_q``.  The
-    coefficients are exact closed forms, the termwise derivative of the
-    nome series of sn, cn and dn (DLMF 22.11.1-3; ``orbits._velocity_spectrum``).
-    Selection rules follow from that spectrum rather than being
-    special-cased: the sn and cn families have only odd harmonics, so
-    forcing at the first harmonic gives a nonzero result only for odd
-    ``m`` with ``n = 1``, and every forbidden harmonic is exactly zero.
+    ``n*T(k) = m*T_hat``.  With ``zeta2(t) = sum_q c_q exp(2 pi i q t/T)``
+    the convolution multiplies the forcing spectrum by the transfer
+    function ``m*T_hat*conj(c_q)``: forcing harmonic ``j`` overlaps only
+    the orbit harmonic ``q = j*m/n``, so only harmonics ``j`` divisible by
+    ``n`` survive, and their output is ``m*T_hat*(c_j*conj(c_q))``.  Real
+    and imaginary parts within ``5e-14`` of ``max(1, m*T_hat*|h|_1)`` are
+    dropped.  The coefficients ``c_q`` are exact closed forms, the termwise
+    derivative of the nome series of sn, cn and dn (DLMF 22.11.1-3;
+    ``orbits._velocity_spectrum``).  Selection rules follow from that
+    spectrum rather than being special-cased: the sn and cn families have
+    only odd harmonics, so forcing at the first harmonic gives a nonzero
+    result only for odd ``m`` with ``n = 1``, and every forbidden harmonic
+    is exactly zero.
 
     Raises
     ------
@@ -294,46 +290,16 @@ def h_hat_subharmonic(
             f"m*T_hat={m * t_hat!r} (family {fam.tag.value!r}, k={kv!r})"
         )
 
-    max_j = profile_h.max_harmonic
-    if max_j == 0:
-        return MelnikovProfile.from_trig(
-            TrigPolynomial(), family=fam, k=kv, m=m, n=n, omega_hat=float(omega_hat)
-        )
-
-    # zeta2(t) = sum_q c_q e^{2 pi i q t / T}
-    coeffs = _velocity_spectrum(fam, kv, (max_j // n) * m + 1).tolist()
-
+    c = profile_h.spectrum
+    orbit = _velocity_spectrum(fam, kv, (profile_h.max_harmonic // n) * m + 1)
     m_t_hat = m * t_hat
-    scale_ref = m_t_hat * profile_h.coefficient_norm()
-    drop_tol = 5e-14 * max(1.0, scale_ref)
-
-    cos_out: dict[int, float] = {}
-    sin_out: dict[int, float] = {}
-
-    def accumulate(j: int, a_j: float, b_j: float) -> None:
-        if j == 0 or j % n:
-            return
-        q = (j // n) * m
-        x = coeffs[q].real
-        y = coeffs[q].imag
-        a_out = m_t_hat * (a_j * x - b_j * y)
-        b_out = m_t_hat * (a_j * y + b_j * x)
-        if abs(a_out) > drop_tol:
-            cos_out[j] = cos_out.get(j, 0.0) + a_out
-        if abs(b_out) > drop_tol:
-            sin_out[j] = sin_out.get(j, 0.0) + b_out
-
-    for j, a in profile_h.cos_terms:
-        accumulate(j, a, 0.0)
-    for j, b in profile_h.sin_terms:
-        accumulate(j, 0.0, b)
-
-    poly = TrigPolynomial(
-        cos_terms=tuple(sorted(cos_out.items())),
-        sin_terms=tuple(sorted(sin_out.items())),
-    )
+    drop_tol = 5e-14 * max(1.0, m_t_hat * profile_h.coefficient_norm())
+    out = np.zeros_like(c)
+    out[n::n] = m_t_hat * (c[n::n] * np.conj(orbit[m::m]))
+    parts = out.view(float)
+    parts[np.abs(parts) <= drop_tol] = 0.0
     return MelnikovProfile.from_trig(
-        poly, family=fam, k=kv, m=m, n=n, omega_hat=float(omega_hat)
+        TrigPolynomial._of(out), family=fam, k=kv, m=m, n=n, omega_hat=float(omega_hat)
     )
 
 

@@ -318,6 +318,91 @@ def test_resonant_projection_matches_the_sampled_oracle(fam: FamilyKind) -> None
                         assert terms.get(j, 0.0) == 0.0, (k, m, n, j)
 
 
+def _per_term_subharmonic(profile: TrigPolynomial, fam: FamilyKind, k: float, m: int, n: int,
+                          omega_hat: float) -> tuple[dict[int, float], dict[int, float]]:
+    """The cosine and sine terms of ``h_hat_subharmonic`` summed one forcing
+    term at a time, each contribution dropped at ``drop_tol`` on its own."""
+    coeffs = _velocity_spectrum(fam, k, (profile.max_harmonic // n) * m + 1).tolist()
+    m_t_hat = m * (2.0 * math.pi / omega_hat)
+    drop_tol = 5e-14 * max(1.0, m_t_hat * profile.coefficient_norm())
+    cos_out: dict[int, float] = {}
+    sin_out: dict[int, float] = {}
+    terms = [(j, a, 0.0) for j, a in profile.cos_terms]
+    terms += [(j, 0.0, b) for j, b in profile.sin_terms]
+    for j, a, b in terms:
+        if j == 0 or j % n:
+            continue
+        x, y = coeffs[(j // n) * m].real, coeffs[(j // n) * m].imag
+        a_out = m_t_hat * (a * x - b * y)
+        b_out = m_t_hat * (a * y + b * x)
+        if abs(a_out) > drop_tol:
+            cos_out[j] = cos_out.get(j, 0.0) + a_out
+        if abs(b_out) > drop_tol:
+            sin_out[j] = sin_out.get(j, 0.0) + b_out
+    return cos_out, sin_out
+
+
+def _random_forcing(rng: np.random.Generator, harmonics: int) -> TrigPolynomial:
+    j = np.arange(1, harmonics + 1)
+    a = rng.normal(size=harmonics) / j
+    b = rng.normal(size=harmonics) / j
+    return TrigPolynomial(dict(zip(j.tolist(), a.tolist())), dict(zip(j.tolist(), b.tolist())))
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f"{f.tag.value}{f.sign:+d}")
+def test_resonant_projection_is_the_per_term_formula(fam: FamilyKind) -> None:
+    """The spectral product ``m*T_hat*(c_j*conj(c_q))`` equals the per-term
+    sum within 1e-15 of its scale, and bit for bit for one cosine."""
+    rng = np.random.default_rng(23)
+    lo, hi = modulus_range(fam)
+    odd_only = fam.tag is not FamilyTag.INSIDE_HOM
+    for k in (lo + 0.2 * (hi - lo), lo + 0.7 * (hi - lo)):
+        for m, n in ((1, 1), (3, 1), (3, 2), (5, 3)):
+            omega_hat = 2.0 * math.pi * m / (n * period(fam, k))
+            for harmonics in (1, 2, 3, 5, 8, 17, 33, 64):
+                profile = _random_forcing(rng, harmonics)
+                got = h_hat_subharmonic(profile, fam, k, m, n, omega_hat).values
+                cos_ref, sin_ref = _per_term_subharmonic(profile, fam, k, m, n, omega_hat)
+                scale = 1e-15 * max(1.0, m * 2.0 * math.pi / omega_hat * profile.coefficient_norm())
+                for terms, ref in ((dict(got.cos_terms), cos_ref), (dict(got.sin_terms), sin_ref)):
+                    for j in set(terms) | set(ref):
+                        assert abs(terms.get(j, 0.0) - ref.get(j, 0.0)) <= scale, (k, m, n, j)
+                for j in range(1, harmonics + 1):
+                    if j % n or (odd_only and (j // n) * m % 2 == 0):
+                        assert j > got.max_harmonic or got.spectrum[j] == 0.0, (k, m, n, j)
+                amp = float(rng.normal())
+                one = h_hat_subharmonic(cosine(amp, n), fam, k, m, n, omega_hat).values
+                cos_ref, sin_ref = _per_term_subharmonic(cosine(amp, n), fam, k, m, n, omega_hat)
+                assert one.cos_terms == tuple(cos_ref.items())
+                assert one.sin_terms == tuple(sin_ref.items())
+
+
+@pytest.mark.parametrize("tag", [FamilyTag.HET_PAIR, FamilyTag.HOM_PAIR])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_separatrix_projection_is_the_per_term_formula_bitwise(tag: FamilyTag, sign: int) -> None:
+    rng = np.random.default_rng(29)
+    fam = FamilyKind(tag, sign)
+    for omega_hat in (0.05, 0.8, 1.4, 3.7):
+        for harmonics in (1, 2, 7, 64):
+            profile = _random_forcing(rng, harmonics)
+            got = h_hat(profile, fam, omega_hat).values
+            cos_ref: dict[int, float] = {}
+            sin_ref: dict[int, float] = {}
+            for j, a in profile.cos_terms:
+                if tag is FamilyTag.HET_PAIR:
+                    cos_ref[j] = sign * fourier_weight_het(j * omega_hat) * a
+                else:
+                    sin_ref[j] = sign * fourier_weight_hom(j * omega_hat) * a
+            for j, b in profile.sin_terms:
+                if tag is FamilyTag.HET_PAIR:
+                    sin_ref[j] = sign * fourier_weight_het(j * omega_hat) * b
+                else:
+                    cos_ref[j] = -sign * fourier_weight_hom(j * omega_hat) * b
+            expected = TrigPolynomial(cos_ref, sin_ref)
+            assert got.cos_terms == expected.cos_terms
+            assert got.sin_terms == expected.sin_terms
+
+
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f"{f.tag.value}{f.sign:+d}")
 def test_orbit_velocity_spectrum_has_exact_zeros(fam: FamilyKind) -> None:
     for k in _oracle_moduli(fam):
