@@ -13,7 +13,9 @@ states at once goes through an in-module NumPy DOP853 ensemble that
 applies SciPy's step-size rules to every member separately: the legs of a
 multiple-shooting Newton iterate, each carrying its variational columns,
 and the chains of a manifold branch, each of which ends as soon as it
-leaves the tracing box, mid-strobe included.
+leaves the tracing box, mid-strobe included.  The ensemble keeps its
+stages, scaled by the step, in one workspace with the states, so a stage
+is one product, one right-hand-side call and one scaled store.
 
 Two flow builders are provided: the rescaled planar system
 
@@ -440,7 +442,8 @@ def find_subharmonic(
     DOP853 ensemble, every leg under its own step control.  A single leg
     runs SciPy's DOP853 stepper: one ensemble member takes the same steps
     but pays the ensemble's per-step bookkeeping for a single stage call,
-    which made one period of the pendulum flow 2 to 3 times slower.
+    which makes a period 2.0-2.2 times slower on the pendulum flow and
+    2.6-2.7 times slower on the scaled flow.
     The returned ``residual`` is the largest leg defect of the converged
     system (for one leg, the full-period return defect), so
     ``residual < tol``.
@@ -533,9 +536,9 @@ def _variational_rhs(flow: FlowSpec):
         if jac.ndim == 2:
             np.matmul(jac, y[n:].reshape(n, -1), out=out[n:].reshape(n, -1))
         else:
-            # One (dim, dim) product per member, the member axis moved first.
-            np.matmul(jac.transpose(2, 0, 1), y[n:].reshape(n, n, -1).transpose(2, 0, 1),
-                      out=out[n:].reshape(n, n, -1).transpose(2, 0, 1))
+            # One (dim, dim) product per member, the member axis last.
+            np.einsum("ikm,kjm->ijm", jac, y[n:].reshape(n, n, -1),
+                      out=out[n:].reshape(n, n, -1))
         return out
 
     return rhs
@@ -861,8 +864,8 @@ class _EnsembleEnd:
     ``states[:, j]`` is member ``j`` at ``t1``, or at its first accepted
     step outside the box when ``left_box[j]``; ``failed[j]`` marks a member
     whose step size fell below SciPy's ``min_step``.  ``cuts[j]`` lists
-    ``(plane, state)`` crossings and ``paths[j]`` the dense samples, both
-    in time order and up to the member's end.
+    ``(plane, state)`` crossings and ``paths[j]`` the dense samples, both in
+    time order up to the member's end; without planes or samples both are [].
     """
 
     states: np.ndarray
@@ -872,9 +875,10 @@ class _EnsembleEnd:
     paths: list[list[np.ndarray]]
 
 
-def _rms(x: np.ndarray) -> np.ndarray:
-    """SciPy's RMS norm, taken per column."""
-    return np.linalg.norm(x, axis=0) / math.sqrt(x.shape[0])
+def _rms(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """SciPy's RMS norm along ``axis``, the state components; squares ``x`` in place."""
+    x *= x
+    return np.sqrt(np.add.reduce(x, axis=axis)) / math.sqrt(x.shape[axis])
 
 
 def _initial_step(rhs, t0: np.ndarray, y0, f0, t1: np.ndarray, direction: float,
@@ -883,24 +887,21 @@ def _initial_step(rhs, t0: np.ndarray, y0, f0, t1: np.ndarray, direction: float,
     interval = abs(t1 - t0)
     scale = abs_tol + np.abs(y0) * rel_tol
     with np.errstate(divide="ignore", invalid="ignore"):
-        d0 = _rms(y0 / scale)
-        d1 = _rms(f0 / scale)
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-        h0 = np.minimum(h0, interval)
-        f1 = rhs(t0 + h0 * direction, y0 + h0 * direction * f0)
-        d2 = _rms((f1 - f0) / scale) / h0
-        h1 = np.where(
-            (d1 <= 1e-15) & (d2 <= 1e-15),
-            np.maximum(1e-6, h0 * 1e-3),
-            (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT,
-        )
+        d0, d1 = _rms(np.array([y0, f0]) / scale, axis=1)
+        # fmin ignores a NaN as SciPy's ``d0 < 1e-5 or d1 < 1e-5`` does.
+        h0 = np.minimum(np.where(np.fmin(d0, d1) < 1e-5, 1e-6, 0.01 * d0 / d1), interval)
+        step = h0 * direction
+        f1 = rhs(t0 + step, y0 + step * f0)
+        d12 = np.maximum(d1, _rms((f1 - f0) / scale) / h0)
+        h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / d12) ** -_ERROR_EXPONENT)
     return np.minimum(np.minimum(100.0 * h0, h1), interval)
 
 
-#: Stage weights ``A[s, :s]`` of the extended tableau, one row per stage.
-_A_ROWS = [np.ascontiguousarray(_DOP853.A[s, :s]) for s in range(_DOP853.N_STAGES_EXTENDED)]
-#: Stage time fractions, with 1 appended for the closing evaluation at ``t + h``.
-_C_STEP = np.append(_DOP853.C[:_N_STAGES], 1.0)[:, None]
+#: Stage weights ``[1, A[s, :s]]`` of the extended tableau, 1 weighing the
+#: state; row 12 is ``[1, B]``, the 8th-order solution.
+_A_ROWS = [np.append(1.0, _DOP853.A[s, :s]) for s in range(_DOP853.N_STAGES_EXTENDED)]
+#: Stage time fractions; the 13th, 1, is the closing evaluation at ``t + h``.
+_C_STEP = _DOP853.C[:_N_STAGES + 1, None]
 #: The 5th- and 3rd-order error estimators, one row each.
 _E53 = np.stack([_DOP853.E5, _DOP853.E3])
 #: Smallest positive double: a floor that leaves every positive value as it is.
@@ -935,75 +936,72 @@ def _ensemble_dop853(
     (both need scalar times); the interpolant's three extra stages are built
     only for steps that need one.
 
-    A step's stages ``K`` share one ``(13, dim, N)`` array, read as
-    ``(13, dim*N)``: each stage increment is the one product
-    ``A[s, :s] @ K[:s]`` and both error estimates the one ``[E5; E3] @ K``.
-    SciPy's special cases of the controller (a zero or NaN error norm, a
-    retried step) are plain array arithmetic, so a step needs no
-    ``np.errstate`` and hides no warning raised inside ``rhs``.  Members
-    leave the working arrays only in a step where one of them ends.
+    A step lives in one workspace ``Z`` of shape ``(14, dim, N)``: ``Z[0]``
+    holds the states and ``Z[1 + s]`` the stage ``h*k_s``, ``h`` being each
+    member's signed step.  A stage argument is then the one product
+    ``[1, A[s, :s]] @ Z[:s + 1]``, the new state ``[1, B] @ Z[:13]`` and the
+    error estimates ``[E5; E3] @ Z[1:]``.  The derivative at the state stays
+    unscaled, for reuse (FSAL).  The controller's special cases are plain
+    array arithmetic, so a step hides no warning raised inside ``rhs``.
+    Members leave ``Z`` only in a step where one of them ends.
     """
     n, count = y0.shape
-    t_start = np.broadcast_to(np.asarray(t0, dtype=float), (count,))
-    t_end = np.broadcast_to(np.asarray(t1, dtype=float), (count,))
-    direction = 1.0 if t_end[0] > t_start[0] else -1.0
+    t, t_end = np.full(count, t0, dtype=float), np.full(count, t1, dtype=float)
+    direction = 1.0 if t_end[0] > t[0] else -1.0
     clip = np.minimum if direction > 0 else np.maximum
-    grid = np.linspace(t0, t1, samples)[1:] if samples > 1 else np.empty(0)
-    ordered_grid = direction * grid
-    plane_arr = np.asarray(planes, dtype=float)[:, None]
-    dense = bool(len(planes)) or grid.size > 0
-
-    states = y0.copy()
+    dense = bool(len(planes)) or samples > 1
+    if dense:
+        grid = np.linspace(t0, t1, samples)[1:] if samples > 1 else np.empty(0)
+        plane_arr = np.asarray(planes, dtype=float)[:, None]
+        g = y0[2:3] - plane_arr  # plane-event values, empty without planes
+        due = np.zeros(count, dtype=int)
+    cuts = [[] for _ in range(count)] if dense else []
+    paths = [[] for _ in range(count)] if dense else []
+    states = np.empty_like(y0)
     left_box = np.zeros(count, dtype=bool)
     failed = np.zeros(count, dtype=bool)
-    cuts: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(count)]
-    paths: list[list[np.ndarray]] = [[] for _ in range(count)]
 
-    # Working arrays hold the running members only, in ``live`` order.  K[0]
-    # is the derivative at the current state of each member.
+    # The workspace and the arrays beside it hold the running members only,
+    # in ``live`` order; ``f`` is the derivative at ``Z[0]``.
     live = np.arange(count)
-    t = t_start.copy()
-    y = y0.copy()
-    K = np.empty((_N_STAGES + 1, n, count))
-    K[0] = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, K[0], t_end, direction, atol, rtol)
+    Z = np.empty((_N_STAGES + 2, n, count))
+    Z[0] = y0
+    f = np.array(rhs(t, y0))
+    h_abs = _initial_step(rhs, t, y0, f, t_end, direction, atol, rtol)
     # A member retrying a rejected step may not grow it (SciPy's factor cap).
     cap = np.full(count, MAX_FACTOR)
-    g = y[2:3] - plane_arr  # plane-event values, empty without planes
-    due = np.zeros(count, dtype=int)
     while live.size:
         m = live.size
-        flat = K.reshape(_N_STAGES + 1, n * m)
+        flat = Z.reshape(len(Z), n * m)
         # SciPy's 10 |nextafter(t) - t|; a retried member passed it already.
         min_step = (np.nextafter(t, direction * np.inf) - t) * (10.0 * direction)
-        h_abs = np.maximum(h_abs, min_step)
-        t_new = clip(t + direction * h_abs, t_end)
+        np.maximum(h_abs, min_step, out=h_abs)
+        t_new = clip(t + h_abs if direction > 0 else t - h_abs, t_end)
         h = t_new - t
         times = t + _C_STEP * h
-        for s in range(1, _N_STAGES):
-            stage = (_A_ROWS[s] @ flat[:s]).reshape(n, m)
-            stage *= h
-            stage += y
-            K[s] = rhs(times[s], stage)
-        y_new = (_DOP853.B @ flat[:_N_STAGES]).reshape(n, m)
-        y_new *= h
-        y_new += y
-        K[-1] = rhs(times[-1], y_new)
+        np.multiply(f, h, out=Z[1])
+        for s in range(1, _N_STAGES):  # Z[-1] holds each stage's argument
+            np.dot(_A_ROWS[s], flat[:s + 1], out=flat[-1])
+            np.multiply(rhs(times[s], Z[-1]), h, out=Z[s + 1])
+        y_new = np.dot(_A_ROWS[_N_STAGES], flat[:_N_STAGES + 1]).reshape(n, m)
+        f_new = rhs(times[-1], y_new)
+        np.multiply(f_new, h, out=Z[-1])
 
-        scale = np.maximum(np.abs(y), np.abs(y_new))
+        abs_new = np.abs(y_new)
+        scale = np.maximum(np.abs(Z[0]), abs_new)
         scale *= rtol
         scale += atol
-        err53 = (_E53 @ flat).reshape(2, n, m)
+        err53 = np.dot(_E53, flat[1:]).reshape(2, n, m)
         err53 /= scale
         err53 *= err53
-        err5, err3 = err53.sum(axis=1)
-        h_abs = np.abs(h)
-        err = h_abs * err5 / np.sqrt(np.maximum(err5 + 0.01 * err3, _TINY) * n)
+        err5, err3 = np.add.reduce(err53, axis=1)
+        # SciPy's norm, whose factor |h| is in the stages.
+        err = err5 / np.sqrt(np.maximum(err5 + 0.01 * err3, _TINY) * n)
         accept = err < 1
         # An error of 0 gives the largest factor, and a NaN error (fmax)
         # the strongest cut, as in SciPy.
         factor = SAFETY * np.maximum(err, _TINY) ** _ERROR_EXPONENT
-        h_abs *= np.fmax(np.minimum(factor, cap), MIN_FACTOR)
+        h_abs = np.abs(h) * np.fmax(np.minimum(factor, cap), MIN_FACTOR)
         cap = np.where(accept, MAX_FACTOR, 1.0)
 
         if dense:
@@ -1011,11 +1009,11 @@ def _ensemble_dop853(
             hit = accept & (((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0)))
             g = np.where(accept, g_new, g)
             upto = np.where(
-                accept, np.searchsorted(ordered_grid, direction * t_new, "right"), due
+                accept, np.searchsorted(direction * grid, direction * t_new, "right"), due
             )
             need = np.flatnonzero(hit.any(axis=0) | (upto > due))
             if need.size:
-                sols = _interpolants(rhs, K, t, t_new, y, y_new, need)
+                sols = _interpolants(rhs, Z, t, t_new, y_new, need)
                 for j, sol in zip(need, sols):
                     member = live[j]
                     for p in np.flatnonzero(hit[:, j]):
@@ -1026,9 +1024,9 @@ def _ensemble_dop853(
                     paths[member].extend(sol(grid[due[j]:upto[j]]).T)
             due = upto
 
-        t = np.where(accept, t_new, t)
-        np.copyto(y, y_new, where=accept)
-        np.copyto(K[0], K[-1], where=accept)
+        np.copyto(t, t_new, where=accept)
+        np.copyto(Z[0], y_new, where=accept)
+        np.copyto(f, f_new, where=accept)
         # Only an accepted step moves ``t``, and it stops exactly at ``t1``.
         stop = t == t_end
         # A NaN step size, from a non-finite state, counts as too small;
@@ -1036,46 +1034,45 @@ def _ensemble_dop853(
         stuck = ~(accept | (h_abs >= min_step))
         stop |= stuck
         if box < math.inf:
-            out = accept & (np.max(np.abs(y), axis=0) > box)
+            out = accept & (np.maximum.reduce(abs_new) > box)
             stop |= out
         if stop.any():
-            states[:, live[stop]] = y[:, stop]
+            states[:, live[stop]] = Z[0][:, stop]
             if box < math.inf:
                 left_box[live[out]] = True
             failed[live[stuck]] = True
             keep = np.flatnonzero(~stop)
-            live, t, t_end, y = live[keep], t[keep], t_end[keep], y[:, keep]
-            h_abs, cap, due, g = h_abs[keep], cap[keep], due[keep], g[:, keep]
-            f = K[0][:, keep]
-            K = np.empty((_N_STAGES + 1, n, keep.size))
-            K[0] = f
+            live, t, t_end, h_abs, cap = live[keep], t[keep], t_end[keep], h_abs[keep], cap[keep]
+            f = f[:, keep]
+            if dense:
+                due, g = due[keep], g[:, keep]
+            y = Z[0][:, keep]
+            Z = np.empty((_N_STAGES + 2, n, keep.size))
+            Z[0] = y
     return _EnsembleEnd(states, left_box, failed, cuts, paths)
 
 
-def _interpolants(rhs, K, t, t_new, y, y_new, need):
+def _interpolants(rhs, Z, t, t_new, y_new, need):
     """SciPy's DOP853 dense output of the step ``t -> t_new`` of members ``need``.
 
-    ``K`` holds the step's ``(13, dim, N)`` stages, the last one at ``t_new``.
+    ``Z`` is the step's ``(14, dim, N)`` workspace (see :func:`_ensemble_dop853`).
     """
-    n = y.shape[0]
-    tn, yn = t[need], y[:, need]
+    n, k = Z.shape[1], need.size
+    tn = t[need]
     hn = t_new[need] - tn
-    ext = np.empty((_DOP853.N_STAGES_EXTENDED, n, need.size))
-    ext[:_N_STAGES + 1] = K[:, :, need]
-    flat = ext.reshape(_DOP853.N_STAGES_EXTENDED, -1)
+    ext = np.empty((_DOP853.N_STAGES_EXTENDED + 1, n, k))
+    ext[:len(Z)] = Z[:, :, need]
+    flat = ext.reshape(-1, n * k)
     for s in range(_N_STAGES + 1, _DOP853.N_STAGES_EXTENDED):
-        dy = (_A_ROWS[s] @ flat[:s]).reshape(n, need.size) * hn
-        ext[s] = rhs(tn + _DOP853.C[s] * hn, yn + dy)
-    delta = y_new[:, need] - yn
-    F = np.empty((_DOP853.INTERPOLATOR_POWER, n, need.size))
+        stage = np.dot(_A_ROWS[s], flat[:s + 1]).reshape(n, k)
+        np.multiply(rhs(tn + _DOP853.C[s] * hn, stage), hn, out=ext[s + 1])
+    delta = y_new[:, need] - ext[0]
+    F = np.empty((_DOP853.INTERPOLATOR_POWER, n, k))
     F[0] = delta
-    F[1] = hn * ext[0] - delta
-    F[2] = 2.0 * delta - hn * (ext[_N_STAGES] + ext[0])
-    F[3:] = hn * (_DOP853.D @ flat).reshape(-1, n, need.size)
-    return [
-        Dop853DenseOutput(tn[k], t_new[need[k]], yn[:, k], F[:, :, k])
-        for k in range(need.size)
-    ]
+    F[1] = ext[1] - delta
+    F[2] = 2.0 * delta - (ext[_N_STAGES + 1] + ext[1])
+    F[3:] = np.dot(_DOP853.D, flat[1:]).reshape(-1, n, k)
+    return [Dop853DenseOutput(tn[j], t_new[need[j]], ext[0, :, j], F[:, :, j]) for j in range(k)]
 
 
 def divergence_integral(flow: FlowSpec, state, m: int) -> float:

@@ -25,7 +25,6 @@ the arg-max and arg-min of one inverse FFT, polished by Newton steps.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -93,6 +92,7 @@ class TrigPolynomial:
         c.flags.writeable = False
         object.__setattr__(self, "spectrum", c)
         object.__setattr__(self, "_terms", None)
+        object.__setattr__(self, "_first", None)
 
     @classmethod
     def _of(cls, c: np.ndarray) -> "TrigPolynomial":
@@ -179,8 +179,8 @@ class TrigPolynomial:
                 total = total + v * math.sin(j * x)
             return total
         x = np.asarray(phi, dtype=float)
-        first = self._first_harmonic
-        if first is not None:
+        first = self._first or self._first_harmonic()
+        if first:
             # A zero mean is added too: it turns a product's -0.0 into the
             # +0.0 of the per-harmonic sum.
             mean, a1, b1 = first
@@ -207,17 +207,20 @@ class TrigPolynomial:
             acc *= z
         return acc.real + c[0].real
 
-    @cached_property
-    def _first_harmonic(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(a0, a1, b1)`` of a series of at most one harmonic, else ``None``.
+    def _first_harmonic(self) -> tuple[np.ndarray, ...]:
+        """``(a0, a1, b1)`` of a series of at most one harmonic, else ``()``.
 
         They are 0-d float64 arrays: NumPy applies one to an array with the
         same result as a Python float but without converting it each call.
+        Made on first use into a plain attribute, as the term pairs are.
         """
-        if self.max_harmonic > 1:
-            return None
-        c0, c1 = np.append(self.spectrum, 0j)[:2]
-        return np.array(c0.real), np.array(c1.real), np.array(-c1.imag)
+        if self._first is None:
+            first = ()
+            if self.max_harmonic <= 1:
+                c0, c1 = np.append(self.spectrum, 0j)[:2]
+                first = (np.array(c0.real), np.array(c1.real), np.array(-c1.imag))
+            object.__setattr__(self, "_first", first)
+        return self._first
 
     # -- algebra ----------------------------------------------------------
     def scaled(self, factor: float) -> "TrigPolynomial":
@@ -249,8 +252,8 @@ class TrigPolynomial:
         rounding (at most ``_NEWTON_STEPS`` steps); a polished value
         replaces the grid value only when it is the more extreme one.
         """
-        first = self._first_harmonic
-        if first is not None:
+        first = self._first_harmonic()
+        if first:
             mean, a1, b1 = (float(v) for v in first)
             r = math.hypot(a1, b1)
             return (mean + r, mean - r)

@@ -20,6 +20,7 @@ from doublezero.dynamics import (
     ManifoldBranch,
     OrbitClass,
     _MAX_STEPS,
+    _dop853,
     _ensemble_dop853,
     _integrate_legs,
     _shooting_defect,
@@ -279,11 +280,12 @@ def variational_leg(flow: FlowSpec, state, t0: float, t1: float):
 
 
 def column_counted(flow: FlowSpec) -> tuple[FlowSpec, list[int]]:
-    """``flow`` whose batched ``rhs`` adds its column count to the returned list."""
+    """``flow`` whose ``rhs`` adds its column count (one for a single state)
+    to the returned list."""
     columns = [0]
 
     def rhs(t, z):
-        columns[0] += z.shape[1]
+        columns[0] += z.shape[1] if z.ndim == 2 else 1
         return flow.rhs(t, z)
 
     return replace(flow, rhs=rhs), columns
@@ -316,21 +318,51 @@ def test_ensemble_legs_match_per_leg_integration() -> None:
         assert max_gap(plain[j], alone) < 1e-12
 
 
-def test_ensemble_chains_take_the_steps_of_lone_integrations() -> None:
-    # A strobe of 160 states on the lower connection, where z1 takes both
-    # signs: a cheaper ensemble step must still be the step a lone SciPy
-    # integration takes, so the member evaluations add up to theirs.
+def lower_connection(count: int) -> np.ndarray:
+    """``count`` states on the lower connection of the splitting flow, where
+    z1 takes both signs, as the columns of a ``(2, count)`` array."""
+    z1 = np.linspace(-0.95, 0.95, count)
+    return np.stack([z1, -(1.0 - z1 * z1) / math.sqrt(2.0)])
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+def test_ensemble_chains_take_the_steps_of_lone_integrations(backward: bool) -> None:
+    # A strobe of 160 states in the tracing box, forward as the unstable
+    # branches run and backward as the stable ones do (where 97 of them
+    # leave the box): a cheaper ensemble step, whose stages carry the sign
+    # of the step, must still be the step a lone SciPy integration takes,
+    # so the member evaluations add up to theirs.
     flow = splitting_flow(0.0)
-    z1 = np.linspace(-0.95, 0.95, 160)
-    chains = np.stack([z1, -(1.0 - z1 * z1) / math.sqrt(2.0)])
+    chains = lower_connection(160)
+    t0, t1 = (flow.period, 0.0) if backward else (0.0, flow.period)
     counted, columns = column_counted(flow)
-    end = _ensemble_dop853(counted.rhs, chains, 0.0, flow.period, flow.abs_tol,
-                           flow.rel_tol)
-    lone = [solve_ivp(flow.rhs, (0.0, flow.period), chain, method="DOP853",
-                      rtol=flow.rel_tol, atol=flow.abs_tol) for chain in chains.T]
-    assert all(sol.success for sol in lone)
-    assert columns[0] == sum(sol.nfev for sol in lone)
-    assert max_gap(end.states.T, [sol.y[:, -1] for sol in lone]) < 1e-12
+    end = _ensemble_dop853(counted.rhs, chains, t0, t1, flow.abs_tol, flow.rel_tol, box=2.0)
+    assert not end.failed.any() and end.left_box.sum() == (97 if backward else 0)
+    evaluations = 0
+    for j, chain in enumerate(chains.T):
+        lone, calls = column_counted(flow)
+        try:
+            alone = _dop853(lone.rhs, chain, t0, t1, flow.abs_tol, flow.rel_tol, box=2.0)
+        except StepFailure:
+            assert end.left_box[j]
+        else:
+            assert not end.left_box[j] and max_gap(end.states[:, j], alone) < 1e-12
+        evaluations += calls[0]
+    assert columns[0] == evaluations
+
+
+def test_ensemble_path_samples_match_trajectory() -> None:
+    # Dense output of a planar ensemble: the samples after t0 of each member
+    # are the ones ``trajectory`` reads from its own steps' interpolants.
+    flow = splitting_flow(0.0)
+    chains = lower_connection(12)
+    end = _ensemble_dop853(flow.rhs, chains, 0.0, flow.period, flow.abs_tol,
+                           flow.rel_tol, samples=33)
+    assert end.cuts == [[] for _ in range(12)]
+    for j, chain in enumerate(chains.T):
+        _, states = trajectory(flow, chain, 0.0, flow.period, 33)
+        assert len(end.paths[j]) == 32
+        assert max_gap(end.paths[j], states[1:]) < 1e-12
 
 
 def blow_up_flow() -> FlowSpec:
