@@ -17,6 +17,13 @@ leaves the tracing box, mid-strobe included.  The ensemble keeps its
 stages, scaled by the step, in one workspace with the states, so a stage
 is one product, one right-hand-side call and one scaled store.
 
+One Newton iteration of multiple shooting is one ensemble per
+backtracking trial: every leg runs twice, plain (its defect decides the
+trial) and with its variational columns, so the accepted trial is already
+the next iterate and only the first iterate is integrated on its own.
+Single shooting keeps the sequential path: a plain trial, then the
+accepted state with its variational equations (see ``find_subharmonic``).
+
 Two flow builders are provided: the rescaled planar system
 
     zeta1' = zeta2
@@ -260,10 +267,32 @@ def pendulum_flow(
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> FlowSpec:
-    """The full 3-D servo-pendulum flow with its analytic Jacobian."""
+    """The full 3-D servo-pendulum flow with its analytic Jacobian.
+
+    A batch goes to :func:`.pendulum.vector_field` and its Jacobian; one
+    state is computed in Python floats, as in ``scaled_flow``, and agrees
+    with them within 1e-15 of the largest component.
+    """
+    al, ga, d0, d1, om = p.alpha, p.gamma, p.delta0, p.delta1, p.omega
+    amp, angle = p.eps * p.beta, p.theta0.angle
+
+    def rhs(t: float, z: np.ndarray) -> np.ndarray:
+        if z.ndim == 1:
+            z1, z2, z3 = z.tolist()
+            theta_d = amp * math.cos(om * t) + angle
+            return np.array([z2, -math.sin(z1) - d0 * z2 + z3,
+                             -al * z3 + ga * (theta_d - z1) - d1 * z2])
+        return vector_field(p, t, z)
+
+    def jac(t: float, z: np.ndarray) -> np.ndarray:
+        if z.ndim == 1:
+            return np.array([0.0, 1.0, 0.0, -math.cos(z[0]), -d0, 1.0,
+                             -ga, -d1, -al]).reshape(3, 3)
+        return vector_field_jacobian(p, z)
+
     return FlowSpec(
-        rhs=lambda t, z: vector_field(p, t, z),
-        jacobian=lambda t, z: vector_field_jacobian(p, z),
+        rhs=rhs,
+        jacobian=jac,
         period=2.0 * math.pi / p.omega,
         dim=3,
         abs_tol=abs_tol,
@@ -437,13 +466,25 @@ def find_subharmonic(
     that many legs with the leg endpoints as extra unknowns.  Use it for
     strongly hyperbolic orbits, where single shooting amplifies guess error
     by the full-period multiplier and the first integration can escape.
-    The legs of each Newton iterate, with their variational columns, and
-    the legs of each backtracking trial are integrated together as one
-    DOP853 ensemble, every leg under its own step control.  A single leg
-    runs SciPy's DOP853 stepper: one ensemble member takes the same steps
-    but pays the ensemble's per-step bookkeeping for a single stage call,
-    which makes a period 2.0-2.2 times slower on the pendulum flow and
-    2.6-2.7 times slower on the scaled flow.
+    With several legs, one Newton iteration integrates only its
+    backtracking trials.  Each trial is one DOP853 ensemble that holds
+    every leg twice, each copy under its own step control: a plain copy,
+    whose largest defect decides whether the trial is accepted, and a copy
+    with variational columns, whose end states and transition matrices are
+    the next iterate once the trial is accepted.  Only the first iterate is
+    integrated on its own (an accepted trial whose variational copies fail
+    or leave its box is integrated again, without a box).
+    A single leg runs SciPy's DOP853 stepper, one plain integration per
+    trial and then the accepted state with its variational equations: one
+    ensemble member takes the same steps but pays the ensemble's per-step
+    bookkeeping for a single stage call, which makes a period 2.0-2.2
+    times slower on the pendulum flow and 2.6-2.7 times slower on the
+    scaled flow.  Carrying the variational columns in a single leg's trials
+    was measured only together with comparing each trial with the
+    variational residual, like with like; that converges more solves and
+    makes the benchmark's ``shoot`` workload faster, but it raises that
+    workload's tail latency, whose statistic moves with how many
+    operations a run holds.  It waits for a tail statistic that does not.
     The returned ``residual`` is the largest leg defect of the converged
     system (for one leg, the full-period return defect), so
     ``residual < tol``.
@@ -514,8 +555,9 @@ def _integrate_legs(
                            box=box)
     if end.failed.any() or end.left_box.any():
         j = int(np.flatnonzero(end.failed | end.left_box)[0])
-        why = ("Required step size is less than spacing between numbers."
-               if end.failed[j] else f"left the box max|state| <= {box:g}.")
+        why = (f"step size below the spacing between numbers, or no end after "
+               f"{_MAX_STEPS} step attempts." if end.failed[j]
+               else f"left the box max|state| <= {box:g}.")
         raise StepFailure(f"integration failed on [{times[j]}, {times[j + 1]}]: {why}")
     phis = end.states[n:].T.reshape(count, n, n) if variational else None
     return end.states[:n].T, phis
@@ -544,22 +586,54 @@ def _variational_rhs(flow: FlowSpec):
     return rhs
 
 
-def _shooting_defect(flow: FlowSpec, xs: np.ndarray, times: np.ndarray) -> float:
-    """Largest leg defect of a backtracking trial; ``inf`` if a leg fails or escapes.
+def _shooting_trial(
+    flow: FlowSpec, xs: np.ndarray, times: np.ndarray
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """Largest leg defect of a backtracking trial, with the trial's variational legs.
 
-    A leg escapes when it leaves the box ``max|state| <= box``, ``box``
-    being ``_TRIAL_ESCAPE`` times the trial's largest component (at least
-    one), and the trial is then rejected whatever its end.  In the cubic
-    scaled flow such a leg is on its way to a finite-time blow-up, and
+    Returns ``(defect, ends, legs)``.  ``defect`` is ``inf`` if a leg fails
+    or escapes.  A leg escapes when it leaves the box ``max|state| <= box``,
+    ``box`` being ``_TRIAL_ESCAPE`` times the trial's largest component (at
+    least one), and the trial is then rejected whatever its end.  In the
+    cubic scaled flow such a leg is on its way to a finite-time blow-up, and
     following it down to the integrator's step-size floor cost about 5,400
     right-hand-side evaluations, where a whole period takes about 300.
+
+    A single leg is one plain :func:`_dop853` integration, and ``ends`` and
+    ``legs`` are ``None``.  Several legs run as one ensemble that holds two
+    copies of every leg, each boxed on its state rows only.  The plain copy
+    has zero transition columns, which stay zero, and its error norm and
+    initial step count only its state rows, so it takes the steps of a
+    plain integration; its ends give ``defect``.  The variational copy
+    starts from the identity; its end states and transition matrices are
+    ``ends`` and ``legs``, as :func:`_integrate_legs` returns them, so an
+    accepted trial is the next Newton iterate without a further
+    integration.  They are ``None`` if a variational copy fails or its
+    state leaves the box, or if the trial escapes.
     """
+    count, n = xs.shape
     box = _TRIAL_ESCAPE * max(1.0, float(np.max(np.abs(xs))))
-    try:
-        ends, _ = _integrate_legs(flow, xs, times, variational=False, box=box)
-    except StepFailure:
-        return math.inf
-    return float(np.max(np.abs(ends - np.roll(xs, -1, axis=0))))
+    if count == 1:
+        try:
+            ends, _ = _integrate_legs(flow, xs, times, variational=False, box=box)
+        except StepFailure:
+            return math.inf, None, None
+        return float(np.max(np.abs(ends - xs))), None, None
+    eye = np.eye(n).reshape(n * n, 1)
+    y0 = np.concatenate([np.tile(xs.T, 2),
+                         np.repeat(np.hstack([np.zeros_like(eye), eye]), count, axis=1)])
+    end = _ensemble_dop853(
+        _variational_rhs(flow), y0, np.tile(times[:-1], 2), np.tile(times[1:], 2),
+        flow.abs_tol, flow.rel_tol, box=box, state_rows=n,
+        norm_rows=np.repeat([n, n + n * n], count),
+    )
+    ended = end.failed | end.left_box
+    if ended[:count].any():
+        return math.inf, None, None
+    defect = float(np.max(np.abs(end.states[:n, :count].T - np.roll(xs, -1, axis=0))))
+    if ended[count:].any():
+        return defect, None, None
+    return defect, end.states[:n, count:].T, end.states[n:, count:].T.reshape(count, n, n)
 
 
 def _newton_orbit(
@@ -568,7 +642,10 @@ def _newton_orbit(
     """Damped Newton on the ``segments``-leg shooting system.
 
     Returns the converged state at time 0, the monodromy over ``m`` periods
-    (the product of the legs' transition matrices) and the residual.
+    (the product of the legs' transition matrices) and the residual.  An
+    iterate's variational legs come from the accepted backtracking trial
+    when it carries them (see :func:`_shooting_trial`), and are integrated
+    otherwise.
     """
     n = flow.dim
     count = int(segments)
@@ -578,14 +655,16 @@ def _newton_orbit(
     xs = np.tile(np.asarray(guess, dtype=float), (count, 1))
     eye = np.eye(n)
     residual = math.inf
+    legs = None
     for _ in range(max_iter):
-        try:
-            ends, legs = _integrate_legs(flow, xs, times, variational=True)
-        except StepFailure as exc:
-            raise NewtonDivergence(
-                f"integration broke down during shooting (last residual "
-                f"{residual!r}): {exc}"
-            ) from exc
+        if legs is None:
+            try:
+                ends, legs = _integrate_legs(flow, xs, times, variational=True)
+            except StepFailure as exc:
+                raise NewtonDivergence(
+                    f"integration broke down during shooting (last residual "
+                    f"{residual!r}): {exc}"
+                ) from exc
         defects = ends - np.roll(xs, -1, axis=0)
         residual = float(np.max(np.abs(defects)))
         if not math.isfinite(residual):
@@ -609,12 +688,16 @@ def _newton_orbit(
         # Backtracking damping: near-unit multipliers make the system nearly
         # singular and the full step can overshoot the basin; halve until
         # the defect shrinks (the full step is kept whenever it works, so
-        # quadratic convergence near the root is untouched).
+        # quadratic convergence near the root is untouched).  The iterate
+        # after twelve rejections is a step no trial integrated.
         damping = 1.0
         for _ in range(12):
-            if _shooting_defect(flow, xs + damping * step, times) < residual:
+            defect, ends, legs = _shooting_trial(flow, xs + damping * step, times)
+            if defect < residual:
                 break
             damping *= 0.5
+        else:
+            legs = None
         xs = xs + damping * step
     raise NewtonDivergence(
         f"no convergence after {max_iter} iterations (last residual {residual!r})"
@@ -863,7 +946,8 @@ class _EnsembleEnd:
 
     ``states[:, j]`` is member ``j`` at ``t1``, or at its first accepted
     step outside the box when ``left_box[j]``; ``failed[j]`` marks a member
-    whose step size fell below SciPy's ``min_step``.  ``cuts[j]`` lists
+    whose step size fell below SciPy's ``min_step`` or that made
+    ``_MAX_STEPS`` step attempts without reaching ``t1``.  ``cuts[j]`` lists
     ``(plane, state)`` crossings and ``paths[j]`` the dense samples, both in
     time order up to the member's end; without planes or samples both are [].
     """
@@ -875,24 +959,26 @@ class _EnsembleEnd:
     paths: list[list[np.ndarray]]
 
 
-def _rms(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """SciPy's RMS norm along ``axis``, the state components; squares ``x`` in place."""
+def _rms(x: np.ndarray, rows: np.ndarray, axis: int = 0) -> np.ndarray:
+    """SciPy's RMS norm along ``axis`` of ``rows`` components per column, any
+    further ones being zero; squares ``x`` in place."""
     x *= x
-    return np.sqrt(np.add.reduce(x, axis=axis)) / math.sqrt(x.shape[axis])
+    return np.sqrt(np.add.reduce(x, axis=axis)) / np.sqrt(rows)
 
 
 def _initial_step(rhs, t0: np.ndarray, y0, f0, t1: np.ndarray, direction: float,
-                  abs_tol: float, rel_tol: float) -> np.ndarray:
-    """SciPy's ``select_initial_step`` for DOP853, one step per column."""
+                  abs_tol: float, rel_tol: float, rows: np.ndarray) -> np.ndarray:
+    """SciPy's ``select_initial_step`` for DOP853, one step per column, whose
+    norms count ``rows[j]`` components (see :func:`_ensemble_dop853`)."""
     interval = abs(t1 - t0)
     scale = abs_tol + np.abs(y0) * rel_tol
     with np.errstate(divide="ignore", invalid="ignore"):
-        d0, d1 = _rms(np.array([y0, f0]) / scale, axis=1)
+        d0, d1 = _rms(np.array([y0, f0]) / scale, rows, axis=1)
         # fmin ignores a NaN as SciPy's ``d0 < 1e-5 or d1 < 1e-5`` does.
         h0 = np.minimum(np.where(np.fmin(d0, d1) < 1e-5, 1e-6, 0.01 * d0 / d1), interval)
         step = h0 * direction
         f1 = rhs(t0 + step, y0 + step * f0)
-        d12 = np.maximum(d1, _rms((f1 - f0) / scale) / h0)
+        d12 = np.maximum(d1, _rms((f1 - f0) / scale, rows) / h0)
         h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / d12) ** -_ERROR_EXPONENT)
     return np.minimum(np.minimum(100.0 * h0, h1), interval)
 
@@ -919,6 +1005,8 @@ def _ensemble_dop853(
     box: float = math.inf,
     planes: Sequence[float] = (),
     samples: int = 0,
+    state_rows: int | None = None,
+    norm_rows: np.ndarray | None = None,
 ) -> _EnsembleEnd:
     """Integrate the columns of ``y0`` (shape ``(dim, N)``) from ``t0`` to ``t1``.
 
@@ -929,8 +1017,16 @@ def _ensemble_dop853(
     :func:`_dop853` would take for it alone, up to rounding.  The members
     share each stage's right-hand-side call, ``rhs(t, Y)`` with ``t`` of
     shape ``(N,)`` and ``Y`` of shape ``(dim, N)``.  A member ends at its
-    ``t1``, at its first accepted step with ``max|state| > box``, or on step
-    failure.  Plane crossings ``state_3 = c`` are located by ``brentq`` on
+    ``t1``, at its first accepted step whose leading ``state_rows`` rows
+    (default all) have ``max|state| > box``, or on step failure: a step
+    size below SciPy's ``min_step``, or no end after ``_MAX_STEPS`` step
+    attempts.  That budget counts rejected steps too, where :func:`_dop853`
+    counts accepted ones, and so costs no work per step.  Member ``j``'s
+    error norm and initial step count ``norm_rows[j]`` rows (default all),
+    and its further rows must stay zero: a plain multiple-shooting leg
+    carries zero transition columns, which its Jacobian keeps at zero, and
+    so takes the steps it takes without them.
+    Plane crossings ``state_3 = c`` are located by ``brentq`` on
     the step's DOP853 interpolant (as SciPy locates events), and
     ``samples > 1`` evenly spaced times after ``t0`` are read from it too
     (both need scalar times); the interpolant's three extra stages are built
@@ -946,6 +1042,7 @@ def _ensemble_dop853(
     Members leave ``Z`` only in a step where one of them ends.
     """
     n, count = y0.shape
+    rows = np.full(count, float(n)) if norm_rows is None else np.asarray(norm_rows, dtype=float)
     t, t_end = np.full(count, t0, dtype=float), np.full(count, t1, dtype=float)
     direction = 1.0 if t_end[0] > t[0] else -1.0
     clip = np.minimum if direction > 0 else np.maximum
@@ -967,9 +1064,11 @@ def _ensemble_dop853(
     Z = np.empty((_N_STAGES + 2, n, count))
     Z[0] = y0
     f = np.array(rhs(t, y0))
-    h_abs = _initial_step(rhs, t, y0, f, t_end, direction, atol, rtol)
+    h_abs = _initial_step(rhs, t, y0, f, t_end, direction, atol, rtol, rows)
     # A member retrying a rejected step may not grow it (SciPy's factor cap).
     cap = np.full(count, MAX_FACTOR)
+    # Every member starts at once, so its step attempts are the loop's.
+    attempts = 0
     while live.size:
         m = live.size
         flat = Z.reshape(len(Z), n * m)
@@ -996,7 +1095,7 @@ def _ensemble_dop853(
         err53 *= err53
         err5, err3 = np.add.reduce(err53, axis=1)
         # SciPy's norm, whose factor |h| is in the stages.
-        err = err5 / np.sqrt(np.maximum(err5 + 0.01 * err3, _TINY) * n)
+        err = err5 / np.sqrt(np.maximum(err5 + 0.01 * err3, _TINY) * rows)
         accept = err < 1
         # An error of 0 gives the largest factor, and a NaN error (fmax)
         # the strongest cut, as in SciPy.
@@ -1032,9 +1131,12 @@ def _ensemble_dop853(
         # A NaN step size, from a non-finite state, counts as too small;
         # the ``min_step`` test alone would retry it forever.
         stuck = ~(accept | (h_abs >= min_step))
+        attempts += 1
+        if attempts == _MAX_STEPS:
+            stuck |= ~stop
         stop |= stuck
         if box < math.inf:
-            out = accept & (np.maximum.reduce(abs_new) > box)
+            out = accept & (np.maximum.reduce(abs_new[:state_rows]) > box)
             stop |= out
         if stop.any():
             states[:, live[stop]] = Z[0][:, stop]
@@ -1043,7 +1145,7 @@ def _ensemble_dop853(
             failed[live[stuck]] = True
             keep = np.flatnonzero(~stop)
             live, t, t_end, h_abs, cap = live[keep], t[keep], t_end[keep], h_abs[keep], cap[keep]
-            f = f[:, keep]
+            rows, f = rows[keep], f[:, keep]
             if dense:
                 due, g = due[keep], g[:, keep]
             y = Z[0][:, keep]

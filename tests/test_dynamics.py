@@ -1,29 +1,32 @@
 """Trajectories, strobe maps and Newton shooting on a forced linear oscillator
 with a closed-form solution, and shooting on a multiple-shooting saddle;
 monodromy, fold detection, the batched flow contract, ensemble shooting legs,
-chains and manifold tracing against per-leg and per-chain ``solve_ivp``, and
-the single-trajectory step budget."""
+fused backtracking trials, chains and manifold tracing against per-leg and
+per-chain ``solve_ivp``, and the step budgets of both integrators."""
 
 from __future__ import annotations
 
 import math
+import re
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
+import doublezero.dynamics as dynamics
 from doublezero.dynamics import (
     FlowSpec,
     ManifoldBranch,
     OrbitClass,
     _MAX_STEPS,
+    _TRIAL_ESCAPE,
     _dop853,
     _ensemble_dop853,
     _integrate_legs,
-    _shooting_defect,
+    _shooting_trial,
     detect_saddle_node,
     divergence_integral,
     find_subharmonic,
@@ -40,7 +43,7 @@ from doublezero.errors import DomainError, NewtonDivergence, StepFailure
 from doublezero.fourier import TrigPolynomial, cosine
 from doublezero.melnikov import h_hat, separatrix_constants
 from doublezero.orbits import FamilyTag
-from doublezero.pendulum import example_theta_zero
+from doublezero.pendulum import example_theta_pi, example_theta_zero
 
 #: x'' + C x' + x = cos(OMEGA t)
 C = 0.3
@@ -264,6 +267,25 @@ def test_batch_calls_leave_their_arguments_unchanged(build) -> None:
         assert not np.shares_memory(value, t) and not np.shares_memory(value, z)
 
 
+@pytest.mark.parametrize("params", [
+    example_theta_zero(1.25, -1.2, omega=1.0, eps=0.01),
+    example_theta_pi(0.9, 0.7, omega=2.3, eps=0.2),
+], ids=["hanging", "inverted"])
+def test_pendulum_single_states_agree_with_the_batch(params) -> None:
+    # One state is computed in Python floats and a batch by
+    # ``pendulum.vector_field`` and its Jacobian.
+    flow = pendulum_flow(params)
+    rng = np.random.default_rng(10)
+    states = rng.uniform(-4.0, 4.0, size=(3, 9))
+    times = rng.uniform(-10.0, 10.0, size=9)
+    for call in (flow.rhs, flow.jacobian):
+        batch = call(times, states)
+        singles = [call(float(t), states[:, j]) for j, t in enumerate(times)]
+        assert all(v.dtype == np.float64 and v.shape == batch.shape[:-1] for v in singles)
+        singles = np.stack(singles, axis=-1)
+        assert np.max(np.abs(batch - singles)) <= 1e-15 * np.max(np.abs(batch))
+
+
 def variational_leg(flow: FlowSpec, state, t0: float, t1: float):
     """End state, transition matrix and evaluation count of one leg, by a
     lone ``solve_ivp``."""
@@ -381,9 +403,11 @@ def test_a_failing_leg_ends_the_newton_sweep_and_the_trial() -> None:
     flow = blow_up_flow()
     times = np.array([0.0, 0.5, 1.0])
     # Only the first leg blows up (at t = 0.25); the second is harmless.
-    assert _shooting_defect(flow, np.array([[4.0, 0.0], [0.1, 0.0]]), times) == math.inf
+    assert _shooting_trial(flow, np.array([[4.0, 0.0], [0.1, 0.0]]), times) == (
+        math.inf, None, None)
     # A leg that starts at infinity fails at once instead of retrying a NaN step.
-    assert _shooting_defect(flow, np.array([[math.inf, 0.0], [0.1, 0.0]]), times) == math.inf
+    assert _shooting_trial(flow, np.array([[math.inf, 0.0], [0.1, 0.0]]), times) == (
+        math.inf, None, None)
     with pytest.raises(NewtonDivergence, match="integration broke down"):
         find_subharmonic(flow, 1, (4.0, 0.0), segments=2)
     for segments in (1, 2):
@@ -406,7 +430,8 @@ def test_an_escaping_trial_ends_at_its_box() -> None:
     with pytest.raises(StepFailure, match="spacing between numbers"):
         integrate(flow, np.array([4.0, 0.0]), 0.0, 1.0)
     unboxed, calls = calls, 0
-    assert _shooting_defect(flow, np.array([[4.0, 0.0]]), np.array([0.0, 1.0])) == math.inf
+    assert _shooting_trial(flow, np.array([[4.0, 0.0]]), np.array([0.0, 1.0])) == (
+        math.inf, None, None)
     assert 0 < calls < unboxed / 3
     for xs, times in (([[4.0, 0.0]], [0.0, 1.0]), ([[4.0, 0.0], [0.1, 0.0]], [0.0, 0.5, 1.0])):
         with pytest.raises(StepFailure, match="left the box"):
@@ -430,6 +455,30 @@ def test_a_slowly_escaping_trajectory_ends_at_the_step_budget() -> None:
     assert calls < 13 * _MAX_STEPS
 
 
+def test_an_ensemble_member_ends_at_the_step_budget(monkeypatch) -> None:
+    # The slowly escaping state above beside a harmless one: the first ends
+    # as failed once it has made the budget of step attempts, and the
+    # second still reaches t1 with the state it reaches alone.
+    flow = scaled_flow(s1=1, s2=-1, nu1_sign=-1, eps_hat=0.1, nu_hat=0.3, omega_hat=1.3,
+                       delta_big=1.0, forcing=cosine(1.0))
+    counted, columns = column_counted(flow)
+    states = np.array([[0.549, 0.3], [0.554, -0.1]])
+    end = _ensemble_dop853(counted.rhs, states, 0.0, 8.22, flow.abs_tol, flow.rel_tol)
+    assert end.failed.tolist() == [True, False] and not end.left_box.any()
+    assert columns[0] < 2 * 13 * _MAX_STEPS
+    alone = _ensemble_dop853(flow.rhs, states[:, 1:], 0.0, 8.22, flow.abs_tol, flow.rel_tol)
+    assert not alone.failed[0] and max_gap(end.states[:, 1], alone.states[:, 0]) < 1e-14
+    lone = _dop853(flow.rhs, states[:, 1], 0.0, 8.22, flow.abs_tol, flow.rel_tol)
+    assert max_gap(end.states[:, 1], lone) < 1e-12
+    # Multiple shooting reports a member past the budget as a step failure;
+    # a smaller budget shows it on the legs of one splitting period.
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 5)
+    split = splitting_flow(0.0)
+    with pytest.raises(StepFailure, match="no end after 5 step attempts"):
+        _integrate_legs(split, lower_connection(2).T, np.linspace(0.0, split.period, 3),
+                        variational=True)
+
+
 def test_a_lone_trial_leg_takes_the_steps_of_integrate() -> None:
     flow = splitting_flow(0.0)
     state = np.array([0.3, -0.1])
@@ -437,11 +486,13 @@ def test_a_lone_trial_leg_takes_the_steps_of_integrate() -> None:
     alone = integrate(flow, state, 0.0, flow.period)
     end, none = _integrate_legs(flow, state[None], times, variational=False)
     assert none is None and np.array_equal(end[0], alone)
-    assert _shooting_defect(flow, state[None], times) == float(np.max(np.abs(alone - state)))
+    assert _shooting_trial(flow, state[None], times) == (
+        float(np.max(np.abs(alone - state))), None, None)
 
 def test_two_saddle_solves_stay_within_an_rhs_budget() -> None:
-    # The per-leg solve_ivp path made 4,256 rhs calls here; the ensemble
-    # shares one call among all legs of a sweep.
+    # The per-leg solve_ivp path made 4,256 rhs calls here, and 532 when
+    # each trial and each iterate was one ensemble of its own; now each
+    # accepted trial also carries the next iterate's variational legs.
     flow = splitting_flow(0.3)
     calls = 0
 
@@ -454,7 +505,96 @@ def test_two_saddle_solves_stay_within_an_rhs_budget() -> None:
     for guess in ((1.0, 0.0), (-1.0, 0.0)):
         res = find_subharmonic(counted_flow, 1, guess, segments=8)
         assert res.classification is OrbitClass.SADDLE
-    assert calls <= 600
+    assert calls <= 320
+
+
+def test_a_fused_trial_gives_the_plain_defect_and_the_variational_legs() -> None:
+    # A backtracking trial of the 8-leg splitting saddle, its legs moved off
+    # the orbit by up to 1e-3: its plain copies give the defect of a boxed
+    # plain integration, and its variational copies the ends and transition
+    # matrices of a variational one.
+    flow = splitting_flow(0.3)
+    saddle = find_subharmonic(flow, 1, (1.0, 0.0), segments=8)
+    times = np.linspace(0.0, flow.period, 9)
+    xs = np.stack([saddle.initial_state] + [
+        integrate(flow, saddle.initial_state, 0.0, float(t)) for t in times[1:-1]
+    ]) + np.random.default_rng(5).uniform(-1e-3, 1e-3, size=(8, 2))
+    defect, ends, legs = _shooting_trial(flow, xs, times)
+    box = _TRIAL_ESCAPE * max(1.0, float(np.max(np.abs(xs))))
+    plain, _ = _integrate_legs(flow, xs, times, variational=False, box=box)
+    assert defect > 1e-4
+    assert abs(defect - max_gap(plain, np.roll(xs, -1, axis=0))) <= 1e-15
+    ref_ends, ref_legs = _integrate_legs(flow, xs, times, variational=True)
+    assert ends.shape == (8, 2) and legs.shape == (8, 2, 2)
+    assert max_gap(ends, ref_ends) <= 1e-12
+    assert max_gap(legs, ref_legs) <= 1e-12
+
+
+def sequential_newton(flow: FlowSpec, guess, tol: float, max_iter: int, segments: int):
+    """Multiple-shooting Newton with one plain integration per backtracking
+    trial and one variational integration per iterate; returns the leg
+    starts, the last residual and the number of rejected trials."""
+    n = flow.dim
+    times = np.linspace(0.0, flow.period, segments + 1)
+    xs = np.tile(np.asarray(guess, dtype=float), (segments, 1))
+    rejected = 0
+    for _ in range(max_iter):
+        ends, legs = _integrate_legs(flow, xs, times, variational=True)
+        defects = ends - np.roll(xs, -1, axis=0)
+        residual = float(np.max(np.abs(defects)))
+        if residual < tol:
+            break
+        jac = block_diag(*legs) - np.roll(np.eye(segments * n), n, axis=1)
+        step = np.linalg.solve(jac, -defects.ravel()).reshape(segments, n)
+        damping = 1.0
+        for _ in range(12):
+            trial = xs + damping * step
+            box = _TRIAL_ESCAPE * max(1.0, float(np.max(np.abs(trial))))
+            try:
+                plain, _ = _integrate_legs(flow, trial, times, variational=False, box=box)
+            except StepFailure:
+                plain = np.full_like(trial, math.inf)
+            if max_gap(plain, np.roll(trial, -1, axis=0)) < residual:
+                break
+            damping *= 0.5
+            rejected += 1
+        xs = xs + damping * step
+    return xs, residual, rejected
+
+
+@pytest.mark.parametrize("guess, tol, max_iter, rejections", [((0.6, -0.4), 1e-10, 50, 8),
+                                                               ((1.0, 0.0), 1e-17, 7, 48)])
+def test_multiple_shooting_makes_the_decisions_of_sequential_trials(
+    guess, tol: float, max_iter: int, rejections: int
+) -> None:
+    # Fused trials must accept and reject as plain trials do.  From the
+    # first guess, eight trials are rejected on the way to the left saddle;
+    # with the second tolerance, below the integrator's noise floor, the
+    # solve stalls at the right saddle and four iterations reject all
+    # twelve trials, so each next iterate is a step no trial integrated.
+    flow = splitting_flow(0.3)
+    xs, residual, rejected = sequential_newton(flow, guess, tol, max_iter, 8)
+    assert rejected == rejections
+    if residual < tol:
+        res = find_subharmonic(flow, 1, guess, tol=tol, segments=8, max_iter=max_iter)
+        assert max_gap(res.initial_state, xs[0]) <= 1e-14
+        assert res.residual == residual
+    else:
+        with pytest.raises(NewtonDivergence, match=re.escape(f"last residual {residual!r}")):
+            find_subharmonic(flow, 1, guess, tol=tol, segments=8, max_iter=max_iter)
+
+
+def test_a_trial_box_reads_the_state_rows_only() -> None:
+    # x' = 8x, y' = -y from the origin: the legs' states stay at 0, well in
+    # the trial box of 1,000, while each transition matrix grows to e^8,
+    # about 2,981; the variational copies still reach their ends.
+    a = np.diag([8.0, -1.0])
+    flow = FlowSpec(rhs=lambda t, z: a @ z, jacobian=lambda t, z: a, period=2.0, dim=2)
+    defect, ends, legs = _shooting_trial(flow, np.zeros((2, 2)), np.array([0.0, 1.0, 2.0]))
+    assert defect == 0.0 and np.array_equal(ends, np.zeros((2, 2)))
+    assert np.max(legs) > _TRIAL_ESCAPE
+    for phi in legs:
+        assert np.max(np.abs(phi - expm(a))) < 1e-8 * math.exp(8.0)
 
 
 @pytest.mark.parametrize("build", [
