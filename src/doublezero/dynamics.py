@@ -97,7 +97,7 @@ _CONTRACTION_CUT = 50.0
 _FIXED_POINT_TOL = 1e-12
 
 #: A backtracking trial escapes past this factor times its largest
-#: component (at least one); see ``_shooting_defect``.
+#: component (at least one); see ``_shooting_trial``.
 _TRIAL_ESCAPE = 1e3
 
 #: Accepted steps after which a single-trajectory integration gives up.
@@ -267,32 +267,10 @@ def pendulum_flow(
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> FlowSpec:
-    """The full 3-D servo-pendulum flow with its analytic Jacobian.
-
-    A batch goes to :func:`.pendulum.vector_field` and its Jacobian; one
-    state is computed in Python floats, as in ``scaled_flow``, and agrees
-    with them within 1e-15 of the largest component.
-    """
-    al, ga, d0, d1, om = p.alpha, p.gamma, p.delta0, p.delta1, p.omega
-    amp, angle = p.eps * p.beta, p.theta0.angle
-
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        if z.ndim == 1:
-            z1, z2, z3 = z.tolist()
-            theta_d = amp * math.cos(om * t) + angle
-            return np.array([z2, -math.sin(z1) - d0 * z2 + z3,
-                             -al * z3 + ga * (theta_d - z1) - d1 * z2])
-        return vector_field(p, t, z)
-
-    def jac(t: float, z: np.ndarray) -> np.ndarray:
-        if z.ndim == 1:
-            return np.array([0.0, 1.0, 0.0, -math.cos(z[0]), -d0, 1.0,
-                             -ga, -d1, -al]).reshape(3, 3)
-        return vector_field_jacobian(p, z)
-
+    """The full 3-D servo-pendulum flow with its analytic Jacobian."""
     return FlowSpec(
-        rhs=rhs,
-        jacobian=jac,
+        rhs=lambda t, z: vector_field(p, t, z),
+        jacobian=lambda t, z: vector_field_jacobian(p, z),
         period=2.0 * math.pi / p.omega,
         dim=3,
         abs_tol=abs_tol,
@@ -531,7 +509,9 @@ def _integrate_legs(
     together as one ensemble; a single leg goes through :func:`_dop853`,
     which takes the same steps for it faster (see :func:`find_subharmonic`).
     Without ``variational`` a leg ends at its first accepted step outside
-    the box ``max|state| <= box``.
+    the box ``max|state| <= box``.  Newton runs only the variational path;
+    the plain one is kept as the reference that tests hold
+    :func:`_shooting_trial`'s plain copies to.
 
     Raises
     ------
@@ -609,23 +589,25 @@ def _shooting_trial(
     ``ends`` and ``legs``, as :func:`_integrate_legs` returns them, so an
     accepted trial is the next Newton iterate without a further
     integration.  They are ``None`` if a variational copy fails or its
-    state leaves the box, or if the trial escapes.
+    state leaves the box, or if the trial escapes; an escaping or failing
+    plain copy ends the whole ensemble at once.
     """
     count, n = xs.shape
     box = _TRIAL_ESCAPE * max(1.0, float(np.max(np.abs(xs))))
     if count == 1:
         try:
-            ends, _ = _integrate_legs(flow, xs, times, variational=False, box=box)
+            end = _dop853(flow.rhs, xs[0], float(times[0]), float(times[1]),
+                          flow.abs_tol, flow.rel_tol, box=box)
         except StepFailure:
             return math.inf, None, None
-        return float(np.max(np.abs(ends - xs))), None, None
+        return float(np.max(np.abs(end - xs[0]))), None, None
     eye = np.eye(n).reshape(n * n, 1)
     y0 = np.concatenate([np.tile(xs.T, 2),
                          np.repeat(np.hstack([np.zeros_like(eye), eye]), count, axis=1)])
     end = _ensemble_dop853(
         _variational_rhs(flow), y0, np.tile(times[:-1], 2), np.tile(times[1:], 2),
         flow.abs_tol, flow.rel_tol, box=box, state_rows=n,
-        norm_rows=np.repeat([n, n + n * n], count),
+        norm_rows=np.repeat([n, n + n * n], count), decisive=count,
     )
     ended = end.failed | end.left_box
     if ended[:count].any():
@@ -946,10 +928,12 @@ class _EnsembleEnd:
 
     ``states[:, j]`` is member ``j`` at ``t1``, or at its first accepted
     step outside the box when ``left_box[j]``; ``failed[j]`` marks a member
-    whose step size fell below SciPy's ``min_step`` or that made
-    ``_MAX_STEPS`` step attempts without reaching ``t1``.  ``cuts[j]`` lists
-    ``(plane, state)`` crossings and ``paths[j]`` the dense samples, both in
-    time order up to the member's end; without planes or samples both are [].
+    whose step size fell below SciPy's ``min_step``, that made
+    ``_MAX_STEPS`` step attempts without reaching ``t1``, or that a
+    decisive member's end stopped (see :func:`_ensemble_dop853`).
+    ``cuts[j]`` lists ``(plane, state)`` crossings and ``paths[j]`` the
+    dense samples, both in time order up to the member's end; without
+    planes or samples both are [].
     """
 
     states: np.ndarray
@@ -1007,6 +991,7 @@ def _ensemble_dop853(
     samples: int = 0,
     state_rows: int | None = None,
     norm_rows: np.ndarray | None = None,
+    decisive: int = 0,
 ) -> _EnsembleEnd:
     """Integrate the columns of ``y0`` (shape ``(dim, N)``) from ``t0`` to ``t1``.
 
@@ -1025,7 +1010,10 @@ def _ensemble_dop853(
     error norm and initial step count ``norm_rows[j]`` rows (default all),
     and its further rows must stay zero: a plain multiple-shooting leg
     carries zero transition columns, which its Jacobian keeps at zero, and
-    so takes the steps it takes without them.
+    so takes the steps it takes without them.  Once one of the first
+    ``decisive`` members fails or leaves the box, every member still
+    running ends too, as failed where it is: a multiple-shooting trial with
+    such a plain leg is rejected whatever its other legs do.
     Plane crossings ``state_3 = c`` are located by ``brentq`` on
     the step's DOP853 interpolant (as SciPy locates events), and
     ``samples > 1`` evenly spaced times after ``t0`` are read from it too
@@ -1143,6 +1131,10 @@ def _ensemble_dop853(
             if box < math.inf:
                 left_box[live[out]] = True
             failed[live[stuck]] = True
+            if (failed[:decisive] | left_box[:decisive]).any():
+                states[:, live[~stop]] = Z[0][:, ~stop]
+                failed[live[~stop]] = True
+                break
             keep = np.flatnonzero(~stop)
             live, t, t_end, h_abs, cap = live[keep], t[keep], t_end[keep], h_abs[keep], cap[keep]
             rows, f = rows[keep], f[:, keep]

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from doublezero.cli import (
-    experiment_fold_convergence,
-    experiment_hhat,
-    experiment_jintegrals,
-    experiment_manifold_splitting,
-)
+from doublezero.cli import experiment_hhat, experiment_jintegrals, experiment_manifold_splitting
 from doublezero.errors import DomainError
 
 
@@ -27,22 +22,6 @@ def test_manifold_splitting_runs_at_full_depth_with_few_chains() -> None:
     assert all(r["crossing"] == r["inside_window"] for r in region)
     assert report["checks"][0]["passed"]
     assert [s["eps_hat"] for s in report["sign_sweep"]] == [0.05, 0.025]
-
-
-def test_fold_convergence_runs_with_a_coarse_bisection() -> None:
-    # Case i at its default eps_hat pair, bisected to 1e-3 instead of 1e-6.
-    # Its marching and probes are those of the full run, divergent probes
-    # past the fold included; they take most of its time.
-    report = experiment_fold_convergence(param_tol=1e-3)
-    assert report["experiment"] == "fold-convergence"
-    assert report["parameters"]["eps_hats"] == [0.05, 0.025]
-    assert [c["name"] for c in report["checks"]] == [
-        "fold gap shrinks from eps_hat=0.05 to 0.025",
-    ]
-    assert report["passed"]
-    # The folds of the full run, bisected to 1e-6.
-    for fold, full in zip(report["folds"], (1.676473459961587, 1.6617351089058503)):
-        assert abs(fold - full) <= 1e-3
 
 
 def test_jintegrals_passes_on_a_small_grid() -> None:

@@ -43,7 +43,7 @@ from doublezero.errors import DomainError, NewtonDivergence, StepFailure
 from doublezero.fourier import TrigPolynomial, cosine
 from doublezero.melnikov import h_hat, separatrix_constants
 from doublezero.orbits import FamilyTag
-from doublezero.pendulum import example_theta_pi, example_theta_zero
+from doublezero.pendulum import example_theta_zero
 
 #: x'' + C x' + x = cos(OMEGA t)
 C = 0.3
@@ -267,25 +267,6 @@ def test_batch_calls_leave_their_arguments_unchanged(build) -> None:
         assert not np.shares_memory(value, t) and not np.shares_memory(value, z)
 
 
-@pytest.mark.parametrize("params", [
-    example_theta_zero(1.25, -1.2, omega=1.0, eps=0.01),
-    example_theta_pi(0.9, 0.7, omega=2.3, eps=0.2),
-], ids=["hanging", "inverted"])
-def test_pendulum_single_states_agree_with_the_batch(params) -> None:
-    # One state is computed in Python floats and a batch by
-    # ``pendulum.vector_field`` and its Jacobian.
-    flow = pendulum_flow(params)
-    rng = np.random.default_rng(10)
-    states = rng.uniform(-4.0, 4.0, size=(3, 9))
-    times = rng.uniform(-10.0, 10.0, size=9)
-    for call in (flow.rhs, flow.jacobian):
-        batch = call(times, states)
-        singles = [call(float(t), states[:, j]) for j, t in enumerate(times)]
-        assert all(v.dtype == np.float64 and v.shape == batch.shape[:-1] for v in singles)
-        singles = np.stack(singles, axis=-1)
-        assert np.max(np.abs(batch - singles)) <= 1e-15 * np.max(np.abs(batch))
-
-
 def variational_leg(flow: FlowSpec, state, t0: float, t1: float):
     """End state, transition matrix and evaluation count of one leg, by a
     lone ``solve_ivp``."""
@@ -436,6 +417,27 @@ def test_an_escaping_trial_ends_at_its_box() -> None:
     for xs, times in (([[4.0, 0.0]], [0.0, 1.0]), ([[4.0, 0.0], [0.1, 0.0]], [0.0, 0.5, 1.0])):
         with pytest.raises(StepFailure, match="left the box"):
             _integrate_legs(flow, np.array(xs), np.array(times), variational=False, box=10.0)
+
+
+def test_an_escaping_plain_leg_ends_the_whole_trial() -> None:
+    # The first of two legs escapes at about t = 0.25 of its [0, 0.5]; the
+    # fused trial then stops with it, and its three other copies, the
+    # harmless leg's two included, go no further: the trial makes the
+    # batched calls of the escaping leg integrated alone.
+    calls = 0
+
+    def counted(t, z):
+        nonlocal calls
+        calls += 1
+        return blow_up_flow().rhs(t, z)
+
+    flow = replace(blow_up_flow(), rhs=counted)
+    xs = np.array([[4.0, 0.0], [0.1, 0.0]])
+    assert _shooting_trial(flow, xs, np.array([0.0, 0.5, 1.0])) == (math.inf, None, None)
+    fused, calls = calls, 0
+    box = _TRIAL_ESCAPE * 4.0
+    alone = _ensemble_dop853(counted, xs[:1].T, 0.0, 0.5, flow.abs_tol, flow.rel_tol, box=box)
+    assert alone.left_box[0] and fused == calls
 
 
 def test_a_slowly_escaping_trajectory_ends_at_the_step_budget() -> None:
