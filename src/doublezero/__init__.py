@@ -28,9 +28,12 @@ verifies the first-order predictions on a feedback-controlled pendulum:
     Validated numerics on the full flows: strobe maps, Newton shooting
     for periodic orbits, Floquet classification, fold detection and
     invariant-manifold tracing.
+``experiments``
+    The verification experiments that check the predictions against
+    closed forms, quadrature and the full flows, as JSON-ready reports.
 ``cli``
-    The ``doublezero`` command-line interface and its verification
-    experiments.
+    The ``doublezero`` command-line interface: argument parsing, config
+    files and output.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Everything the analytic modules predict is checked here by honest
 integration: strobed (Poincaré) maps of the time-periodic flows, Newton
 shooting for subharmonic orbits with variational monodromy matrices,
-single-parameter fold detection by bisection on orbit existence, and
-stable/unstable manifold traces of saddle orbits seeded along Floquet
-eigendirections.
+single-parameter fold detection (a march along the tracked orbit that
+halves its step where the orbit is lost, then bisection of the last
+found/lost pair), and stable/unstable manifold traces of saddle orbits
+seeded along Floquet eigendirections.
 
 Single trajectories, and the variational equations of single shooting,
 are stepped by SciPy's ``DOP853`` class.  Everything that moves many
@@ -100,10 +101,10 @@ _FIXED_POINT_TOL = 1e-12
 #: component (at least one); see ``_shooting_trial``.
 _TRIAL_ESCAPE = 1e3
 
-#: Accepted steps after which a single-trajectory integration gives up.
-#: The most any workload or ``verify`` experiment takes is 311, in one
-#: period of ``verify fold-convergence --case ii``; a trajectory creeping
-#: toward a singularity reaches this in about a second.
+#: Accepted steps per forcing period after which a single-trajectory
+#: integration gives up.  The most any workload or ``verify`` experiment
+#: takes in one period is 311, in ``verify fold-convergence --case ii``; a
+#: trajectory creeping toward a singularity reaches this in about a second.
 _MAX_STEPS = 10_000
 
 _N_STAGES = _DOP853.N_STAGES
@@ -279,18 +280,19 @@ def pendulum_flow(
 
 
 def _dop853(rhs, state0, t0: float, t1: float, abs_tol: float, rel_tol: float, *,
-            box: float = math.inf, t_eval=None) -> np.ndarray:
+            period: float = math.inf, box: float = math.inf, t_eval=None) -> np.ndarray:
     """Step SciPy's ``DOP853`` from ``t0`` to ``t1`` exactly as SciPy's own loop does.
 
     Returns the state at ``t1`` or, for increasing ``t_eval`` in ``[t0, t1]``,
     the ``(len(t_eval), dim)`` states read from each step's dense output.
     Raises `StepFailure` if a step fails, after ``_MAX_STEPS`` accepted steps
-    and, for a finite ``box``, at the first accepted step with
-    ``max|state| > box``.
+    within one ``period`` of integration time (the count restarts whenever
+    ``t`` passes ``t0`` plus a whole number of periods) and, for a finite
+    ``box``, at the first accepted step with ``max|state| > box``.
     """
     solver = DOP853(rhs, float(t0), np.asarray(state0, dtype=float), float(t1),
                     rtol=rel_tol, atol=abs_tol)
-    rows, due, steps = [], 0, 0
+    rows, due, steps, periods = [], 0, 0, 0
     while solver.status == "running":
         if steps == _MAX_STEPS:
             raise StepFailure(
@@ -305,6 +307,9 @@ def _dop853(rhs, state0, t0: float, t1: float, abs_tol: float, rel_tol: float, *
             raise StepFailure(
                 f"integration failed on [{t0}, {t1}]: left the box max|state| <= {box:g}."
             )
+        passed = int(abs(solver.t - t0) // period)
+        if passed > periods:
+            steps, periods = 0, passed
         if t_eval is not None:
             upto = int(np.searchsorted(t_eval, solver.t, side="right"))
             if upto > due:
@@ -323,13 +328,13 @@ def integrate(flow: FlowSpec, state0, t0: float, t1: float) -> np.ndarray:
         backward time internally).
     StepFailure
         If the adaptive integrator cannot proceed, or takes more than
-        ``_MAX_STEPS`` (10,000) steps.
+        ``_MAX_STEPS`` (10,000) steps within one forcing period.
     """
     if t1 < t0:
         raise DomainError(f"need t1 >= t0, got [{t0}, {t1}]")
     if t1 == t0:
         return np.asarray(state0, dtype=float).copy()
-    return _dop853(flow.rhs, state0, t0, t1, flow.abs_tol, flow.rel_tol)
+    return _dop853(flow.rhs, state0, t0, t1, flow.abs_tol, flow.rel_tol, period=flow.period)
 
 
 def trajectory(
@@ -345,7 +350,8 @@ def trajectory(
     if not (t1 > t0):
         raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
     ts = np.linspace(t0, t1, samples)
-    return ts, _dop853(flow.rhs, state0, t0, t1, flow.abs_tol, flow.rel_tol, t_eval=ts)
+    return ts, _dop853(flow.rhs, state0, t0, t1, flow.abs_tol, flow.rel_tol,
+                       period=flow.period, t_eval=ts)
 
 
 def poincare_map(flow: FlowSpec, state, iterates: int) -> list[np.ndarray]:
@@ -366,7 +372,8 @@ def _transition(
     """Final state and state-transition matrix of one time segment."""
     n = flow.dim
     y0 = np.concatenate([state, np.eye(n).ravel()])
-    yf = _dop853(_variational_rhs(flow), y0, t0, t1, flow.abs_tol, flow.rel_tol)
+    yf = _dop853(_variational_rhs(flow), y0, t0, t1, flow.abs_tol, flow.rel_tol,
+                 period=flow.period)
     return yf[:n], yf[n:].reshape(n, n)
 
 
@@ -524,7 +531,8 @@ def _integrate_legs(
         if variational:
             end, phi = _transition(flow, xs[0], t0, t1)
             return end[None], phi[None]
-        end = _dop853(flow.rhs, xs[0], t0, t1, flow.abs_tol, flow.rel_tol, box=box)
+        end = _dop853(flow.rhs, xs[0], t0, t1, flow.abs_tol, flow.rel_tol,
+                      period=flow.period, box=box)
         return end[None], None
     if variational:
         rhs = _variational_rhs(flow)
@@ -597,7 +605,7 @@ def _shooting_trial(
     if count == 1:
         try:
             end = _dop853(flow.rhs, xs[0], float(times[0]), float(times[1]),
-                          flow.abs_tol, flow.rel_tol, box=box)
+                          flow.abs_tol, flow.rel_tol, period=flow.period, box=box)
         except StepFailure:
             return math.inf, None, None
         return float(np.max(np.abs(end - xs[0]))), None, None
@@ -689,33 +697,40 @@ def _newton_orbit(
 def detect_saddle_node(
     flow_family: Callable[[float], FlowSpec],
     m: int,
-    bracket: tuple[float, float],
-    seed,
+    start: float,
+    state,
+    limit: float,
     *,
+    step: float,
     param_tol: float = 1e-6,
     max_jump: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 50,
 ) -> float:
-    """Bisect a one-parameter family for the fold of a subharmonic orbit.
+    """Fold of a subharmonic orbit tracked in a one-parameter family.
 
-    ``flow_family(p)`` builds the flow at parameter ``p``; ``seed`` is an
-    initial state of the tracked orbit valid at one bracket end.  A trial
-    parameter counts as "orbit exists" when Newton converges from the
-    nearest previously-converged state without jumping further than
-    ``max_jump`` (a large jump means Newton fell onto a different orbit —
-    past a fold the tracked orbit is simply gone and any convergence is
-    spurious).  Bisection returns the fold parameter to within
-    ``param_tol``.
+    ``flow_family(p)`` builds the flow at parameter ``p``, and ``state`` is
+    the tracked orbit's initial state at ``start``.  The orbit is found at
+    ``p`` when Newton converges from the latest found state without jumping
+    further than ``max_jump`` (past a fold the tracked orbit is gone, and a
+    far convergence is onto another orbit).  The search marches from
+    ``start`` toward ``limit`` in steps of ``step``, halving the step on
+    each loss until it is below a tenth of ``step``; a lost parameter is
+    tried again after a later success, from the closer state, which
+    recovers a tracking loss short of the fold.  It then bisects the last
+    found and lost parameters from the latest found state, without probing
+    either again, and returns their midpoint once they are ``param_tol``
+    apart.
 
     Raises
     ------
+    DomainError
+        If ``step`` is not positive.
     NoFoldInBracket
-        If the orbit exists at both ends or at neither end.
+        If the orbit is still found at ``limit``.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (hi > lo):
-        raise DomainError(f"bracket must satisfy lo < hi, got {bracket!r}")
+    if not step > 0.0:
+        raise DomainError(f"step must be positive, got {step!r}")
 
     def probe(p: float, from_state: np.ndarray) -> np.ndarray | None:
         try:
@@ -728,32 +743,32 @@ def detect_saddle_node(
             return None
         return res.initial_state
 
-    seed = np.asarray(seed, dtype=float)
-    state_lo = probe(lo, seed)
-    state_hi = probe(hi, seed if state_lo is None else state_lo)
-    if (state_lo is None) == (state_hi is None):
-        raise NoFoldInBracket(
-            f"orbit exists at "
-            f"{'both ends' if state_lo is not None else 'neither end'} of "
-            f"[{lo}, {hi}]"
-        )
-    exists_state = state_lo if state_lo is not None else state_hi
-
-    while hi - lo > param_tol:
-        mid = 0.5 * (lo + hi)
-        state_mid = probe(mid, exists_state)
-        # Keep the bracket ends on opposite sides of the fold: the end where
-        # the orbit exists moves to mid when the probe succeeds there.
-        if (state_mid is not None) == (state_lo is not None):
-            lo = mid
-            if state_mid is not None:
-                exists_state = state_mid
-                state_lo = state_mid
+    limit = float(limit)
+    found, lost = float(start), limit
+    state = np.asarray(state, dtype=float)
+    floor = 0.1 * step
+    step = math.copysign(step, limit - found)
+    while abs(step) >= floor:
+        trial = found + step
+        if (trial - limit) * step >= 0.0:
+            trial = limit
+        state_trial = probe(trial, state)
+        if state_trial is None:
+            lost = trial
+            step *= 0.5
+        elif trial == limit:
+            raise NoFoldInBracket(f"orbit still exists at the limit {limit}")
         else:
-            hi = mid
-            if state_mid is not None:
-                exists_state = state_mid
-    return 0.5 * (lo + hi)
+            found, state = trial, state_trial
+
+    while abs(lost - found) > param_tol:
+        mid = 0.5 * (found + lost)
+        state_mid = probe(mid, state)
+        if state_mid is None:
+            lost = mid
+        else:
+            found, state = mid, state_mid
+    return 0.5 * (found + lost)
 
 
 class ManifoldBranch(enum.Enum):
@@ -1181,7 +1196,9 @@ def divergence_integral(flow: FlowSpec, state, m: int) -> float:
         return out
 
     y0 = np.concatenate([np.asarray(state, dtype=float), [0.0]])
-    return float(_dop853(aug_rhs, y0, 0.0, m * flow.period, flow.abs_tol, flow.rel_tol)[-1])
+    end = _dop853(aug_rhs, y0, 0.0, m * flow.period, flow.abs_tol, flow.rel_tol,
+                  period=flow.period)
+    return float(end[-1])
 
 
 def liouville_defect(flow: FlowSpec, result: PeriodicOrbitResult) -> float:

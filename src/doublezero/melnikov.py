@@ -34,6 +34,7 @@ from .fourier import TrigPolynomial
 from .orbits import (
     FamilyKind,
     FamilyTag,
+    _as_kind,
     _checked_modulus,
     _velocity_spectrum,
     period,
@@ -186,12 +187,6 @@ def fourier_weight_hom(chi: float) -> float:
 def _require_mean_zero(profile: TrigPolynomial) -> None:
     if abs(profile.mean) > MEAN_ZERO_TOL:
         raise DomainError(f"forcing profile mean {profile.mean!r} is not zero")
-
-
-def _as_kind(family: FamilyKind | FamilyTag) -> FamilyKind:
-    if isinstance(family, FamilyTag):
-        return FamilyKind(family)
-    return family
 
 
 def h_hat(

@@ -1,10 +1,19 @@
-"""Reduced-size smoke tests of the ``verify`` experiments."""
+"""Reduced-size smoke tests of the ``verify`` experiments, and the command
+line's wiring: dispatch, config files, output and exit codes."""
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
-from doublezero.cli import experiment_hhat, experiment_jintegrals, experiment_manifold_splitting
+import doublezero.cli as cli
+from doublezero.experiments import (
+    experiment_hhat,
+    experiment_jintegrals,
+    experiment_manifold_splitting,
+)
 from doublezero.errors import DomainError
 
 
@@ -51,3 +60,52 @@ def test_hhat_refuses_an_empty_check(sizes: dict) -> None:
     # With no chi or no resonance the checks would measure nothing and pass.
     with pytest.raises(DomainError):
         experiment_hhat(**sizes)
+
+
+def test_verify_writes_the_experiment_report(tmp_path) -> None:
+    path = tmp_path / "hhat.json"
+    assert cli.main(["verify", "hhat", "-o", str(path)]) == 0
+    expected = io.StringIO()
+    cli._write_json(expected, experiment_hhat())
+    assert path.read_text(encoding="utf-8") == expected.getvalue()
+
+
+def test_a_config_file_sets_the_verify_options(tmp_path) -> None:
+    config = tmp_path / "small.cfg"
+    config.write_text("grid = 3  # a coarse modulus grid\n", encoding="utf-8")
+    path = tmp_path / "jintegrals.json"
+    assert cli.main(["verify", "jintegrals", "--config", str(config), "-o", str(path)]) == 0
+    assert json.loads(path.read_text(encoding="utf-8"))["parameters"]["grid"] == 3
+
+
+def test_fold_convergence_argument_errors_exit_2(tmp_path) -> None:
+    out = str(tmp_path / "fold.json")
+    assert cli.main(["verify", "fold-convergence", "--eps-hats", "0.05", "-o", out]) == 2
+    assert cli.main(["verify", "fold-convergence", "--eps-hats", "0.025,0.05", "-o", out]) == 2
+
+
+def test_simulate_refuses_a_state_of_the_wrong_dimension(tmp_path) -> None:
+    out = str(tmp_path / "run.csv")
+    assert cli.main(["simulate", "--state", "1,2,3", "-o", out]) == 2
+
+
+def test_simulate_exits_3_when_the_integration_fails(tmp_path) -> None:
+    out = str(tmp_path / "run.csv")
+    assert cli.main(["simulate", "--state", "0.5,0", "--periods", "100", "-o", out]) == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--state", "0.1,0"],
+    ["manifolds", "--guess", "1,0"],
+    ["curves", "--family", "het", "--scaled"],
+])
+def test_a_huge_harmonic_is_refused_before_the_forcing_is_built(
+    args: list[str], tmp_path, monkeypatch, capsys
+) -> None:
+    def no_forcing(*_):
+        raise AssertionError("the forcing was built")
+
+    monkeypatch.setattr(cli, "cosine", no_forcing)
+    out = str(tmp_path / "out.txt")
+    assert cli.main(args + ["--harmonic", "100000000", "-o", out]) == 2
+    assert "--harmonic must be <= 1024" in capsys.readouterr().err

@@ -39,7 +39,7 @@ from doublezero.dynamics import (
     trace_manifolds,
     trajectory,
 )
-from doublezero.errors import DomainError, NewtonDivergence, StepFailure
+from doublezero.errors import DomainError, NewtonDivergence, NoFoldInBracket, StepFailure
 from doublezero.fourier import TrigPolynomial, cosine
 from doublezero.melnikov import h_hat, separatrix_constants
 from doublezero.orbits import FamilyTag
@@ -457,6 +457,21 @@ def test_a_slowly_escaping_trajectory_ends_at_the_step_budget() -> None:
     assert calls < 13 * _MAX_STEPS
 
 
+def test_a_bounded_trajectory_gets_the_step_budget_in_every_period() -> None:
+    # 850 periods take about 11,300 steps; the budget holds per period.
+    flow = oscillator()
+    calls = 0
+
+    def counted(t, z):
+        nonlocal calls
+        calls += 1
+        return flow.rhs(t, z)
+
+    end = integrate(replace(flow, rhs=counted), np.array([0.5, -0.2]), 0.0, 850 * flow.period)
+    assert calls > 12 * _MAX_STEPS
+    assert np.max(np.abs(end - exact_orbit_state())) < 1e-8
+
+
 def test_an_ensemble_member_ends_at_the_step_budget(monkeypatch) -> None:
     # The slowly escaping state above beside a harmless one: the first ends
     # as failed once it has made the budget of step attempts, and the
@@ -619,22 +634,66 @@ def test_monodromy_matches_central_differences(build) -> None:
     assert np.max(np.abs(mono - np.stack(columns, axis=1))) < 1e-6 * np.max(np.abs(mono))
 
 
+def fold_family(p: float) -> FlowSpec:
+    """x' = p - (1 - cos x), y' = -y: the equilibria cos x = 1 - p exist for
+    p >= 0 and merge at x = 0 when p = 0."""
+    def rhs(t, z):
+        return np.array([p - (1.0 - np.cos(z[0])), -z[1]])
+
+    def jac(t, z):
+        return np.array([[-math.sin(z[0]), 0.0], [0.0, -1.0]])
+
+    return FlowSpec(rhs=rhs, jacobian=jac, period=1.0, dim=2)
+
+
+def fold_state(p: float) -> tuple[float, float]:
+    return (math.acos(1.0 - p), 0.0)
+
+
 def test_saddle_node_detection_finds_a_closed_form_fold() -> None:
-    # x' = p - (1 - cos x), y' = -y: the equilibria cos x = 1 - p exist for
-    # p >= 0 and merge at x = 0 when p = 0.
-    def family(p: float) -> FlowSpec:
-        def rhs(t, z):
-            return np.array([p - (1.0 - np.cos(z[0])), -z[1]])
-
-        def jac(t, z):
-            return np.array([[-math.sin(z[0]), 0.0], [0.0, -1.0]])
-
-        return FlowSpec(rhs=rhs, jacobian=jac, period=1.0, dim=2)
-
     fold = detect_saddle_node(
-        family, 1, (-0.04, 0.06), (0.35, 0.0), param_tol=1e-6, max_iter=12
+        fold_family, 1, 0.06, (0.35, 0.0), -0.04, step=0.02, param_tol=1e-6, max_iter=12
     )
     assert abs(fold) <= 1e-6
+
+
+def test_saddle_node_detection_bisects_without_probing_the_bracket_ends_again() -> None:
+    # Powers of two keep every parameter exact.  The march retries the lost
+    # 0.0 after each success and ends with 0.001953125 found and 0.0 lost;
+    # the bisection then probes midpoints only.
+    probed = []
+
+    def family(p: float) -> FlowSpec:
+        probed.append(p)
+        return fold_family(p)
+
+    fold = detect_saddle_node(family, 1, 0.0625, fold_state(0.0625), -0.0625,
+                              step=0.015625, param_tol=1e-6, max_iter=12)
+    assert abs(fold) <= 1e-6
+    march = [0.046875, 0.03125, 0.015625, 0.0, 0.0078125, 0.0, 0.00390625, 0.0,
+             0.001953125, 0.0]
+    assert probed[:len(march)] == march
+    assert all(0.0 < p < 0.001953125 for p in probed[len(march):])
+
+
+def test_saddle_node_detection_recovers_a_lost_orbit_from_a_closer_state() -> None:
+    # The first probe sees a flow with no equilibrium, as if Newton had lost
+    # the orbit; after a half step the same parameter is found.
+    probed = []
+
+    def family(p: float) -> FlowSpec:
+        probed.append(p)
+        return fold_family(-0.5 if len(probed) == 1 else p)
+
+    fold = detect_saddle_node(family, 1, 0.0625, fold_state(0.0625), -0.0625,
+                              step=0.015625, param_tol=1e-6, max_iter=12)
+    assert abs(fold) <= 1e-6
+    assert probed[:3] == [0.046875, 0.0546875, 0.046875]
+
+
+def test_saddle_node_detection_refuses_a_limit_where_the_orbit_exists() -> None:
+    with pytest.raises(NoFoldInBracket, match="still exists at the limit 0.125"):
+        detect_saddle_node(fold_family, 1, 0.5, fold_state(0.5), 0.125, step=0.125)
 
 
 def sequential_trace(flow, trace, backward, box, max_iterates, planes=(), path_samples=0):

@@ -1,11 +1,14 @@
 """Source rules of the package: one single-trajectory integrator, no scalar
-quadrature, and no sampled orbits in the Melnikov projections.
+quadrature, no sampled orbits in the Melnikov projections, and experiments
+kept apart from the command line.
 
 Single trajectories go through ``dynamics._dop853`` and orbit integrals
 through array rules; SciPy's ``solve_ivp`` and ``quad`` stay in the tests
 as reference oracles only.  ``melnikov`` reads each orbit's Fourier
 coefficients in closed form, so it neither evaluates orbits nor takes an
-FFT; the sampled projection is an oracle of the tests too.
+FFT; the sampled projection is an oracle of the tests too.  The
+``verify`` experiments live in ``experiments``, which knows nothing of
+argument parsing, and ``cli`` defines none of them.
 """
 
 from __future__ import annotations
@@ -64,3 +67,33 @@ def test_module_uses_none_of_its_own_banned_names(name: str) -> None:
     path = Path(doublezero.__file__).parent / name
     tree = ast.parse(path.read_text(), filename=str(path))
     assert banned_names(tree, MODULE_BANNED[name]) == []
+
+
+def boundary_faults(experiments: ast.AST, cli: ast.AST) -> list[str]:
+    """Imports of ``cli`` or ``argparse`` in ``experiments``, and
+    ``experiment_*`` functions defined in ``cli``."""
+    found = []
+    for node in ast.walk(experiments):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [n for n in names if n.rsplit(".", 1)[-1] in ("cli", "argparse")]
+    for node in ast.walk(cli):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("experiment_"):
+            found.append(node.name)
+    return found
+
+
+def test_the_boundary_rule_sees_imports_and_definitions() -> None:
+    experiments = ast.parse("import argparse\nfrom . import cli\nfrom .cli import main\n")
+    cli = ast.parse("def experiment_hhat():\n    pass\n")
+    assert boundary_faults(experiments, cli) == ["argparse", "cli", "cli", "experiment_hhat"]
+
+
+def test_experiments_stay_apart_from_the_command_line() -> None:
+    root = Path(doublezero.__file__).parent
+    trees = [ast.parse((root / name).read_text()) for name in ("experiments.py", "cli.py")]
+    assert boundary_faults(*trees) == []
