@@ -25,6 +25,13 @@ the next iterate and only the first iterate is integrated on its own.
 Single shooting keeps the sequential path: a plain trial, then the
 accepted state with its variational equations (see ``find_subharmonic``).
 
+An ensemble member can start from a given step instead of SciPy's initial
+step, and reports the step its controller proposed last.  Integrations
+that repeat one another start from that remembered step: every Newton
+trial of a leg, and every strobe iterate of a manifold chain, so that only
+the first integration of a leg or a chain pays for the initial-step rule
+and for its short first step.
+
 Two flow builders are provided: the rescaled planar system
 
     zeta1' = zeta2
@@ -458,7 +465,10 @@ def find_subharmonic(
     with variational columns, whose end states and transition matrices are
     the next iterate once the trial is accepted.  Only the first iterate is
     integrated on its own (an accepted trial whose variational copies fail
-    or leave its box is integrated again, without a box).
+    or leave its box is integrated again, without a box).  Every
+    integration after the first starts each leg from the step proposed last
+    by the variational integration of that leg which gave the current
+    iterate, capped by SciPy's initial-step bound where the leg starts now.
     A single leg runs SciPy's DOP853 stepper, one plain integration per
     trial and then the accepted state with its variational equations: one
     ensemble member takes the same steps but pays the ensemble's per-step
@@ -477,7 +487,8 @@ def find_subharmonic(
     Raises
     ------
     DomainError
-        If ``guess`` has a non-finite component.
+        If ``guess`` has a non-finite component, ``tol`` is not positive or
+        ``max_iter`` is below 1.
     NewtonDivergence
         After ``max_iter`` iterations without the residual dropping below
         ``tol``, when an integration breaks down, or when the shooting
@@ -487,6 +498,10 @@ def find_subharmonic(
         raise DomainError(f"m must be >= 1, got {m}")
     if segments < 1:
         raise DomainError(f"segments must be >= 1, got {segments}")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     x0 = np.asarray(guess, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise DomainError(f"guess must be finite, got {guess!r}")
@@ -508,17 +523,22 @@ def _integrate_legs(
     times: np.ndarray,
     variational: bool,
     box: float = math.inf,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    first_step: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """End states of the legs ``xs[j]`` over ``[times[j], times[j + 1]]``.
 
-    With ``variational`` the legs' transition matrices come back too, as a
-    ``(count, dim, dim)`` array, else ``None``.  Several legs are integrated
-    together as one ensemble; a single leg goes through :func:`_dop853`,
-    which takes the same steps for it faster (see :func:`find_subharmonic`).
-    Without ``variational`` a leg ends at its first accepted step outside
-    the box ``max|state| <= box``.  Newton runs only the variational path;
-    the plain one is kept as the reference that tests hold
-    :func:`_shooting_trial`'s plain copies to.
+    Returns ``(ends, phis, steps)``.  With ``variational`` the legs'
+    transition matrices ``phis`` come back too, as a ``(count, dim, dim)``
+    array, else ``None``.  Several legs are integrated together as one
+    ensemble, leg ``j`` starting from ``first_step[j]`` when given (see
+    :func:`_ensemble_dop853`), and ``steps[j]`` is the step its controller
+    proposed for its last step.  A single leg goes through :func:`_dop853`,
+    which takes the same steps for it faster (see :func:`find_subharmonic`);
+    it ignores ``first_step`` and ``steps`` is ``None``.  A leg ends at its
+    first accepted step whose state leaves the box ``max|state| <= box``.
+    Newton runs only the variational path without a box; the plain one is
+    kept as the reference that tests hold :func:`_shooting_trial`'s plain
+    copies to.
 
     Raises
     ------
@@ -530,17 +550,17 @@ def _integrate_legs(
         t0, t1 = float(times[0]), float(times[1])
         if variational:
             end, phi = _transition(flow, xs[0], t0, t1)
-            return end[None], phi[None]
+            return end[None], phi[None], None
         end = _dop853(flow.rhs, xs[0], t0, t1, flow.abs_tol, flow.rel_tol,
                       period=flow.period, box=box)
-        return end[None], None
+        return end[None], None, None
     if variational:
         rhs = _variational_rhs(flow)
         y0 = np.concatenate([xs.T, np.repeat(np.eye(n).reshape(n * n, 1), count, axis=1)])
     else:
         rhs, y0 = flow.rhs, xs.T
     end = _ensemble_dop853(rhs, y0, times[:-1], times[1:], flow.abs_tol, flow.rel_tol,
-                           box=box)
+                           box=box, state_rows=n, first_step=first_step)
     if end.failed.any() or end.left_box.any():
         j = int(np.flatnonzero(end.failed | end.left_box)[0])
         why = (f"step size below the spacing between numbers, or no end after "
@@ -548,7 +568,7 @@ def _integrate_legs(
                else f"left the box max|state| <= {box:g}.")
         raise StepFailure(f"integration failed on [{times[j]}, {times[j + 1]}]: {why}")
     phis = end.states[n:].T.reshape(count, n, n) if variational else None
-    return end.states[:n].T, phis
+    return end.states[:n].T, phis, end.last_step
 
 
 def _variational_rhs(flow: FlowSpec):
@@ -575,11 +595,11 @@ def _variational_rhs(flow: FlowSpec):
 
 
 def _shooting_trial(
-    flow: FlowSpec, xs: np.ndarray, times: np.ndarray
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    flow: FlowSpec, xs: np.ndarray, times: np.ndarray, first_step: np.ndarray | None = None
+) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Largest leg defect of a backtracking trial, with the trial's variational legs.
 
-    Returns ``(defect, ends, legs)``.  ``defect`` is ``inf`` if a leg fails
+    Returns ``(defect, ends, legs, steps)``.  ``defect`` is ``inf`` if a leg fails
     or escapes.  A leg escapes when it leaves the box ``max|state| <= box``,
     ``box`` being ``_TRIAL_ESCAPE`` times the trial's largest component (at
     least one), and the trial is then rejected whatever its end.  In the
@@ -587,18 +607,20 @@ def _shooting_trial(
     following it down to the integrator's step-size floor cost about 5,400
     right-hand-side evaluations, where a whole period takes about 300.
 
-    A single leg is one plain :func:`_dop853` integration, and ``ends`` and
-    ``legs`` are ``None``.  Several legs run as one ensemble that holds two
-    copies of every leg, each boxed on its state rows only.  The plain copy
+    A single leg is one plain :func:`_dop853` integration, and ``ends``,
+    ``legs`` and ``steps`` are ``None``.  Several legs run as one ensemble
+    that holds two copies of every leg, each boxed on its state rows only
+    and both starting from ``first_step[j]`` when given.  The plain copy
     has zero transition columns, which stay zero, and its error norm and
     initial step count only its state rows, so it takes the steps of a
     plain integration; its ends give ``defect``.  The variational copy
     starts from the identity; its end states and transition matrices are
-    ``ends`` and ``legs``, as :func:`_integrate_legs` returns them, so an
-    accepted trial is the next Newton iterate without a further
-    integration.  They are ``None`` if a variational copy fails or its
-    state leaves the box, or if the trial escapes; an escaping or failing
-    plain copy ends the whole ensemble at once.
+    ``ends`` and ``legs``, and the steps their controllers proposed last are
+    ``steps``, as :func:`_integrate_legs` returns them, so an accepted trial
+    is the next Newton iterate without a further integration.  They are
+    ``None`` if a variational copy fails or its state leaves the box, or if
+    the trial escapes; an escaping or failing plain copy ends the whole
+    ensemble at once.
     """
     count, n = xs.shape
     box = _TRIAL_ESCAPE * max(1.0, float(np.max(np.abs(xs))))
@@ -607,8 +629,8 @@ def _shooting_trial(
             end = _dop853(flow.rhs, xs[0], float(times[0]), float(times[1]),
                           flow.abs_tol, flow.rel_tol, period=flow.period, box=box)
         except StepFailure:
-            return math.inf, None, None
-        return float(np.max(np.abs(end - xs[0]))), None, None
+            return math.inf, None, None, None
+        return float(np.max(np.abs(end - xs[0]))), None, None, None
     eye = np.eye(n).reshape(n * n, 1)
     y0 = np.concatenate([np.tile(xs.T, 2),
                          np.repeat(np.hstack([np.zeros_like(eye), eye]), count, axis=1)])
@@ -616,14 +638,16 @@ def _shooting_trial(
         _variational_rhs(flow), y0, np.tile(times[:-1], 2), np.tile(times[1:], 2),
         flow.abs_tol, flow.rel_tol, box=box, state_rows=n,
         norm_rows=np.repeat([n, n + n * n], count), decisive=count,
+        first_step=None if first_step is None else np.tile(first_step, 2),
     )
     ended = end.failed | end.left_box
     if ended[:count].any():
-        return math.inf, None, None
+        return math.inf, None, None, None
     defect = float(np.max(np.abs(end.states[:n, :count].T - np.roll(xs, -1, axis=0))))
     if ended[count:].any():
-        return defect, None, None
-    return defect, end.states[:n, count:].T, end.states[n:, count:].T.reshape(count, n, n)
+        return defect, None, None, None
+    return (defect, end.states[:n, count:].T, end.states[n:, count:].T.reshape(count, n, n),
+            end.last_step[count:])
 
 
 def _newton_orbit(
@@ -635,7 +659,9 @@ def _newton_orbit(
     (the product of the legs' transition matrices) and the residual.  An
     iterate's variational legs come from the accepted backtracking trial
     when it carries them (see :func:`_shooting_trial`), and are integrated
-    otherwise.
+    otherwise.  With several legs, every integration after the first starts
+    leg ``j`` from the step proposed last by the variational integration of
+    leg ``j`` that gave the current iterate.
     """
     n = flow.dim
     count = int(segments)
@@ -645,11 +671,12 @@ def _newton_orbit(
     xs = np.tile(np.asarray(guess, dtype=float), (count, 1))
     eye = np.eye(n)
     residual = math.inf
-    legs = None
+    legs = steps = None
     for _ in range(max_iter):
         if legs is None:
             try:
-                ends, legs = _integrate_legs(flow, xs, times, variational=True)
+                ends, legs, steps = _integrate_legs(flow, xs, times, variational=True,
+                                                    first_step=steps)
             except StepFailure as exc:
                 raise NewtonDivergence(
                     f"integration broke down during shooting (last residual "
@@ -682,12 +709,15 @@ def _newton_orbit(
         # after twelve rejections is a step no trial integrated.
         damping = 1.0
         for _ in range(12):
-            defect, ends, legs = _shooting_trial(flow, xs + damping * step, times)
+            defect, ends, legs, proposed = _shooting_trial(flow, xs + damping * step, times,
+                                                           steps)
             if defect < residual:
                 break
             damping *= 0.5
         else:
             legs = None
+        if legs is not None:
+            steps = proposed
         xs = xs + damping * step
     raise NewtonDivergence(
         f"no convergence after {max_iter} iterations (last residual {residual!r})"
@@ -720,17 +750,19 @@ def detect_saddle_node(
     recovers a tracking loss short of the fold.  It then bisects the last
     found and lost parameters from the latest found state, without probing
     either again, and returns their midpoint once they are ``param_tol``
-    apart.
+    apart, or adjacent floats.
 
     Raises
     ------
     DomainError
-        If ``step`` is not positive.
+        If ``step`` or ``param_tol`` is not positive.
     NoFoldInBracket
         If the orbit is still found at ``limit``.
     """
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
+    if not param_tol > 0.0:
+        raise DomainError(f"param_tol must be positive, got {param_tol!r}")
 
     def probe(p: float, from_state: np.ndarray) -> np.ndarray | None:
         try:
@@ -763,6 +795,8 @@ def detect_saddle_node(
 
     while abs(lost - found) > param_tol:
         mid = 0.5 * (found + lost)
+        if mid in (found, lost):  # no float lies between them
+            break
         state_mid = probe(mid, state)
         if state_mid is None:
             lost = mid
@@ -857,7 +891,9 @@ def trace_manifolds(
     contracts onto a periodic point, or after ``max_iterates``.  All live
     chains of a branch are advanced through each strobe period together as
     one DOP853 ensemble in which every chain keeps its own step-size
-    control, so each chain takes the steps a lone integration would take.
+    control, so each chain takes the steps a lone integration started with
+    its remembered step would take: from the second iterate on, a chain
+    starts from the step its controller proposed last in the iterate before.
     For 3-D flows the continuous trajectories' intersections with the
     planes ``state_3 = c`` are recorded per branch.  ``path_samples > 1``
     additionally stores that many dense samples of each between-strobe
@@ -894,12 +930,14 @@ def trace_manifolds(
         chain_paths: list[list[tuple[float, ...]]] = [[] for _ in range(count)]
         t0, t1 = (period, 0.0) if backward else (0.0, period)
         live = np.arange(count)
+        steps = np.full(count, math.nan)
         for iterate in range(1, max_iterates + 1):
             if not live.size:
                 break
             end = _ensemble_dop853(
                 flow.rhs, heads[:, live], t0, t1, flow.abs_tol, flow.rel_tol,
                 box=box, planes=planes, samples=path_samples,
+                first_step=steps[live] if iterate > 1 else None,
             )
             if planes or path_samples > 1:
                 for j in np.flatnonzero(~end.failed):
@@ -917,6 +955,7 @@ def trace_manifolds(
             live = chains[go_on]
             heads[:, live] = imgs[:, go_on]
             increments[live] = d[go_on]
+            steps[live] = end.last_step[inside][go_on]
         return ManifoldTrace(
             branch=branch,
             points=tuple(pts),
@@ -946,6 +985,10 @@ class _EnsembleEnd:
     whose step size fell below SciPy's ``min_step``, that made
     ``_MAX_STEPS`` step attempts without reaching ``t1``, or that a
     decisive member's end stopped (see :func:`_ensemble_dop853`).
+    ``last_step[j]`` is the step member ``j``'s controller proposed for its
+    last step, before that step was cut to land on ``t1``; it is meant as
+    the first step of a member that reached ``t1``, and is NaN for a member
+    that a decisive member's end stopped.
     ``cuts[j]`` lists ``(plane, state)`` crossings and ``paths[j]`` the
     dense samples, both in time order up to the member's end; without
     planes or samples both are [].
@@ -954,6 +997,7 @@ class _EnsembleEnd:
     states: np.ndarray
     left_box: np.ndarray
     failed: np.ndarray
+    last_step: np.ndarray
     cuts: list[list[tuple[float, np.ndarray]]]
     paths: list[list[np.ndarray]]
 
@@ -966,15 +1010,25 @@ def _rms(x: np.ndarray, rows: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def _initial_step(rhs, t0: np.ndarray, y0, f0, t1: np.ndarray, direction: float,
-                  abs_tol: float, rel_tol: float, rows: np.ndarray) -> np.ndarray:
-    """SciPy's ``select_initial_step`` for DOP853, one step per column, whose
-    norms count ``rows[j]`` components (see :func:`_ensemble_dop853`)."""
+                  abs_tol: float, rel_tol: float, rows: np.ndarray,
+                  first_step: np.ndarray | None = None) -> np.ndarray:
+    """Each column's first step, clipped to its interval.
+
+    Without ``first_step``, SciPy's ``select_initial_step`` for DOP853, whose
+    norms count ``rows[j]`` components (see :func:`_ensemble_dop853`).  With
+    it, ``first_step`` capped by that rule's bound 100*h0 = d0/d1, which
+    costs no right-hand-side call; ``y0`` and ``f0`` are then the state rows
+    only, whose count ``rows`` gives.
+    """
     interval = abs(t1 - t0)
     scale = abs_tol + np.abs(y0) * rel_tol
     with np.errstate(divide="ignore", invalid="ignore"):
         d0, d1 = _rms(np.array([y0, f0]) / scale, rows, axis=1)
         # fmin ignores a NaN as SciPy's ``d0 < 1e-5 or d1 < 1e-5`` does.
-        h0 = np.minimum(np.where(np.fmin(d0, d1) < 1e-5, 1e-6, 0.01 * d0 / d1), interval)
+        h0 = np.where(np.fmin(d0, d1) < 1e-5, 1e-6, 0.01 * d0 / d1)
+        if first_step is not None:
+            return np.minimum(np.minimum(first_step, 100.0 * h0), interval)
+        h0 = np.minimum(h0, interval)
         step = h0 * direction
         f1 = rhs(t0 + step, y0 + step * f0)
         d12 = np.maximum(d1, _rms((f1 - f0) / scale, rows) / h0)
@@ -993,6 +1047,19 @@ _E53 = np.stack([_DOP853.E5, _DOP853.E3])
 _TINY = math.ulp(0.0)
 
 
+def _workspace(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """An ensemble workspace ``Z`` of shape ``(14, n, m)`` and its flat rows,
+    padded with zero columns to a multiple of 16.
+
+    BLAS forms a product's columns in blocks and the last few in a remainder
+    loop whose rounding can differ.  Padded, the stage products reach no
+    member there, so a member's steps do not depend on which members share
+    its ensemble.
+    """
+    flat = np.zeros((_N_STAGES + 2, -(-n * m // 16) * 16))
+    return flat[:, :n * m].reshape(len(flat), n, m), flat
+
+
 def _ensemble_dop853(
     rhs,
     y0: np.ndarray,
@@ -1007,6 +1074,7 @@ def _ensemble_dop853(
     state_rows: int | None = None,
     norm_rows: np.ndarray | None = None,
     decisive: int = 0,
+    first_step: np.ndarray | None = None,
 ) -> _EnsembleEnd:
     """Integrate the columns of ``y0`` (shape ``(dim, N)``) from ``t0`` to ``t1``.
 
@@ -1014,13 +1082,19 @@ def _ensemble_dop853(
     members run in one time direction.  Every column is one member that
     follows SciPy's DOP853 rules on its own: initial step, error norm, step
     controller and the ``min_step`` failure, so it takes the steps
-    :func:`_dop853` would take for it alone, up to rounding.  The members
-    share each stage's right-hand-side call, ``rhs(t, Y)`` with ``t`` of
-    shape ``(N,)`` and ``Y`` of shape ``(dim, N)``.  A member ends at its
-    ``t1``, at its first accepted step whose leading ``state_rows`` rows
-    (default all) have ``max|state| > box``, or on step failure: a step
-    size below SciPy's ``min_step``, or no end after ``_MAX_STEPS`` step
-    attempts.  That budget counts rejected steps too, where :func:`_dop853`
+    :func:`_dop853` would take for it alone, up to rounding.  Member ``j``
+    given ``first_step[j]`` (SciPy's ``first_step``, an absolute value)
+    starts from it instead, clipped to its interval and capped by the
+    initial-step rule's bound 100*h0 = d0/d1 on its ``state_rows``, which
+    needs no further right-hand-side call: a step remembered from another
+    integration can be far too long where the member now starts.  Each
+    member's end reports the step it last tried (see :class:`_EnsembleEnd`).
+    The members share each stage's right-hand-side call, ``rhs(t, Y)`` with
+    ``t`` of shape ``(N,)`` and ``Y`` of shape ``(dim, N)``.  A member ends
+    at its ``t1``, at its first accepted step whose leading ``state_rows``
+    rows (default all) have ``max|state| > box``, or on step failure: a
+    step size below SciPy's ``min_step``, or no end after ``_MAX_STEPS``
+    step attempts.  That budget counts rejected steps too, where :func:`_dop853`
     counts accepted ones, and so costs no work per step.  Member ``j``'s
     error norm and initial step count ``norm_rows[j]`` rows (default all),
     and its further rows must stay zero: a plain multiple-shooting leg
@@ -1042,9 +1116,12 @@ def _ensemble_dop853(
     error estimates ``[E5; E3] @ Z[1:]``.  The derivative at the state stays
     unscaled, for reuse (FSAL).  The controller's special cases are plain
     array arithmetic, so a step hides no warning raised inside ``rhs``.
-    Members leave ``Z`` only in a step where one of them ends.
+    Members leave ``Z`` only in a step where one of them ends.  Its flat
+    rows are padded (see :func:`_workspace`), so a member's steps do not
+    depend on the other members.
     """
     n, count = y0.shape
+    state_rows = n if state_rows is None else state_rows
     rows = np.full(count, float(n)) if norm_rows is None else np.asarray(norm_rows, dtype=float)
     t, t_end = np.full(count, t0, dtype=float), np.full(count, t1, dtype=float)
     direction = 1.0 if t_end[0] > t[0] else -1.0
@@ -1060,24 +1137,29 @@ def _ensemble_dop853(
     states = np.empty_like(y0)
     left_box = np.zeros(count, dtype=bool)
     failed = np.zeros(count, dtype=bool)
+    last_step = np.full(count, math.nan)
 
     # The workspace and the arrays beside it hold the running members only,
     # in ``live`` order; ``f`` is the derivative at ``Z[0]``.
     live = np.arange(count)
-    Z = np.empty((_N_STAGES + 2, n, count))
+    Z, flat = _workspace(n, count)
     Z[0] = y0
     f = np.array(rhs(t, y0))
-    h_abs = _initial_step(rhs, t, y0, f, t_end, direction, atol, rtol, rows)
+    if first_step is None:
+        h_abs = _initial_step(rhs, t, y0, f, t_end, direction, atol, rtol, rows)
+    else:
+        h_abs = _initial_step(rhs, t, y0[:state_rows], f[:state_rows], t_end, direction,
+                              atol, rtol, float(state_rows), first_step)
     # A member retrying a rejected step may not grow it (SciPy's factor cap).
     cap = np.full(count, MAX_FACTOR)
     # Every member starts at once, so its step attempts are the loop's.
     attempts = 0
     while live.size:
         m = live.size
-        flat = Z.reshape(len(Z), n * m)
         # SciPy's 10 |nextafter(t) - t|; a retried member passed it already.
         min_step = (np.nextafter(t, direction * np.inf) - t) * (10.0 * direction)
         np.maximum(h_abs, min_step, out=h_abs)
+        proposed = h_abs
         t_new = clip(t + h_abs if direction > 0 else t - h_abs, t_end)
         h = t_new - t
         times = t + _C_STEP * h
@@ -1085,7 +1167,7 @@ def _ensemble_dop853(
         for s in range(1, _N_STAGES):  # Z[-1] holds each stage's argument
             np.dot(_A_ROWS[s], flat[:s + 1], out=flat[-1])
             np.multiply(rhs(times[s], Z[-1]), h, out=Z[s + 1])
-        y_new = np.dot(_A_ROWS[_N_STAGES], flat[:_N_STAGES + 1]).reshape(n, m)
+        y_new = np.dot(_A_ROWS[_N_STAGES], flat[:_N_STAGES + 1])[:n * m].reshape(n, m)
         f_new = rhs(times[-1], y_new)
         np.multiply(f_new, h, out=Z[-1])
 
@@ -1093,7 +1175,7 @@ def _ensemble_dop853(
         scale = np.maximum(np.abs(Z[0]), abs_new)
         scale *= rtol
         scale += atol
-        err53 = np.dot(_E53, flat[1:]).reshape(2, n, m)
+        err53 = np.dot(_E53, flat[1:])[:, :n * m].reshape(2, n, m)
         err53 /= scale
         err53 *= err53
         err5, err3 = np.add.reduce(err53, axis=1)
@@ -1143,6 +1225,7 @@ def _ensemble_dop853(
             stop |= out
         if stop.any():
             states[:, live[stop]] = Z[0][:, stop]
+            last_step[live[stop]] = proposed[stop]
             if box < math.inf:
                 left_box[live[out]] = True
             failed[live[stuck]] = True
@@ -1156,9 +1239,9 @@ def _ensemble_dop853(
             if dense:
                 due, g = due[keep], g[:, keep]
             y = Z[0][:, keep]
-            Z = np.empty((_N_STAGES + 2, n, keep.size))
+            Z, flat = _workspace(n, keep.size)
             Z[0] = y
-    return _EnsembleEnd(states, left_box, failed, cuts, paths)
+    return _EnsembleEnd(states, left_box, failed, last_step, cuts, paths)
 
 
 def _interpolants(rhs, Z, t, t_new, y_new, need):

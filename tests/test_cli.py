@@ -84,6 +84,12 @@ def test_fold_convergence_argument_errors_exit_2(tmp_path) -> None:
     assert cli.main(["verify", "fold-convergence", "--eps-hats", "0.025,0.05", "-o", out]) == 2
 
 
+def test_a_non_positive_newton_tolerance_exits_2(tmp_path, capsys) -> None:
+    out = str(tmp_path / "manifolds.csv")
+    assert cli.main(["manifolds", "--guess", "1,0", "--tol", "-1", "-o", out]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
+
+
 def test_simulate_refuses_a_state_of_the_wrong_dimension(tmp_path) -> None:
     out = str(tmp_path / "run.csv")
     assert cli.main(["simulate", "--state", "1,2,3", "-o", out]) == 2

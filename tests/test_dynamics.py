@@ -2,18 +2,20 @@
 with a closed-form solution, and shooting on a multiple-shooting saddle;
 monodromy, fold detection, the batched flow contract, ensemble shooting legs,
 fused backtracking trials, chains and manifold tracing against per-leg and
-per-chain ``solve_ivp``, and the step budgets of both integrators."""
+per-chain ``solve_ivp``, the step budgets of both integrators, and the
+steps that ensemble members remember from one integration to the next."""
 
 from __future__ import annotations
 
 import math
 import re
+import warnings
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import block_diag, expm
 
 import doublezero.dynamics as dynamics
@@ -115,6 +117,24 @@ def test_divergence_integral_of_a_linear_flow_is_its_trace_times_the_time(m: int
     flow = oscillator()
     integral = divergence_integral(flow, (0.5, -0.2), m)
     assert abs(integral - np.trace(JAC) * m * flow.period) <= 1e-12
+
+
+@pytest.mark.parametrize("segments", [1, 4])
+@pytest.mark.parametrize("bad, message", [
+    (dict(tol=-1.0), "tol must be positive"),
+    (dict(tol=0.0), "tol must be positive"),
+    (dict(tol=math.nan), "tol must be positive"),
+    (dict(max_iter=0), "max_iter must be >= 1"),
+])
+def test_shooting_refuses_a_bad_tolerance_or_iteration_count_before_integrating(
+    bad: dict, message: str, segments: int
+) -> None:
+    # A tolerance no residual can go below ran all 50 iterations and then
+    # reported a divergence; no iteration at all reported one at once.
+    flow, columns = column_counted(oscillator())
+    with pytest.raises(DomainError, match=message):
+        find_subharmonic(flow, 1, (0.5, -0.2), segments=segments, **bad)
+    assert columns[0] == 0
 
 
 def test_single_shooting_returns_the_full_period_monodromy() -> None:
@@ -305,7 +325,7 @@ def test_ensemble_legs_match_per_leg_integration() -> None:
         integrate(flow, saddle.initial_state, 0.0, float(t)) for t in times[1:-1]
     ])
     counted, columns = column_counted(flow)
-    ends, phis = _integrate_legs(counted, xs, times, variational=True)
+    ends, phis, _ = _integrate_legs(counted, xs, times, variational=True)
     assert ends.shape == (8, 2) and phis.shape == (8, 2, 2)
     evaluations = 0
     for j in range(8):
@@ -314,7 +334,7 @@ def test_ensemble_legs_match_per_leg_integration() -> None:
         assert np.max(np.abs(phis[j] - phi)) < 1e-10 * np.max(np.abs(phi))
         evaluations += nfev
     assert columns[0] == evaluations
-    plain, none = _integrate_legs(flow, xs, times, variational=False)
+    plain, none, _ = _integrate_legs(flow, xs, times, variational=False)
     assert none is None
     for j in range(8):
         alone = integrate(flow, xs[j], float(times[j]), float(times[j + 1]))
@@ -354,6 +374,33 @@ def test_ensemble_chains_take_the_steps_of_lone_integrations(backward: bool) -> 
     assert columns[0] == evaluations
 
 
+def test_an_ensemble_member_given_a_first_step_takes_the_steps_scipy_takes_from_it() -> None:
+    # Eight states of the lower connection, each with its own first step,
+    # all below the bound 100*h0 of SciPy's initial-step rule: each member
+    # makes the evaluations of SciPy's DOP853 given the same first step and
+    # ends where it ends.  Its last step is the step SciPy tried last,
+    # before cutting it to land on t1; the controllers agree on it only as
+    # far as their error norms agree, which the rounding of the stages moves.
+    flow = splitting_flow(0.0)
+    chains = lower_connection(8)
+    first = np.geomspace(1e-3, 0.3, 8)
+    counted, columns = column_counted(flow)
+    end = _ensemble_dop853(counted.rhs, chains, 0.0, flow.period, flow.abs_tol, flow.rel_tol,
+                           first_step=first)
+    assert not (end.failed.any() or end.left_box.any())
+    evaluations = 0
+    for j, chain in enumerate(chains.T):
+        solver = DOP853(flow.rhs, 0.0, chain, flow.period, rtol=flow.rel_tol,
+                        atol=flow.abs_tol, first_step=first[j])
+        while solver.status == "running":
+            tried = solver.h_abs
+            solver.step()
+        evaluations += solver.nfev
+        assert max_gap(end.states[:, j], solver.y) < 1e-12
+        assert abs(end.last_step[j] - tried) <= 1e-5 * tried
+    assert columns[0] == evaluations
+
+
 def test_ensemble_path_samples_match_trajectory() -> None:
     # Dense output of a planar ensemble: the samples after t0 of each member
     # are the ones ``trajectory`` reads from its own steps' interpolants.
@@ -385,10 +432,10 @@ def test_a_failing_leg_ends_the_newton_sweep_and_the_trial() -> None:
     times = np.array([0.0, 0.5, 1.0])
     # Only the first leg blows up (at t = 0.25); the second is harmless.
     assert _shooting_trial(flow, np.array([[4.0, 0.0], [0.1, 0.0]]), times) == (
-        math.inf, None, None)
+        math.inf, None, None, None)
     # A leg that starts at infinity fails at once instead of retrying a NaN step.
     assert _shooting_trial(flow, np.array([[math.inf, 0.0], [0.1, 0.0]]), times) == (
-        math.inf, None, None)
+        math.inf, None, None, None)
     with pytest.raises(NewtonDivergence, match="integration broke down"):
         find_subharmonic(flow, 1, (4.0, 0.0), segments=2)
     for segments in (1, 2):
@@ -412,7 +459,7 @@ def test_an_escaping_trial_ends_at_its_box() -> None:
         integrate(flow, np.array([4.0, 0.0]), 0.0, 1.0)
     unboxed, calls = calls, 0
     assert _shooting_trial(flow, np.array([[4.0, 0.0]]), np.array([0.0, 1.0])) == (
-        math.inf, None, None)
+        math.inf, None, None, None)
     assert 0 < calls < unboxed / 3
     for xs, times in (([[4.0, 0.0]], [0.0, 1.0]), ([[4.0, 0.0], [0.1, 0.0]], [0.0, 0.5, 1.0])):
         with pytest.raises(StepFailure, match="left the box"):
@@ -433,7 +480,7 @@ def test_an_escaping_plain_leg_ends_the_whole_trial() -> None:
 
     flow = replace(blow_up_flow(), rhs=counted)
     xs = np.array([[4.0, 0.0], [0.1, 0.0]])
-    assert _shooting_trial(flow, xs, np.array([0.0, 0.5, 1.0])) == (math.inf, None, None)
+    assert _shooting_trial(flow, xs, np.array([0.0, 0.5, 1.0])) == (math.inf, None, None, None)
     fused, calls = calls, 0
     box = _TRIAL_ESCAPE * 4.0
     alone = _ensemble_dop853(counted, xs[:1].T, 0.0, 0.5, flow.abs_tol, flow.rel_tol, box=box)
@@ -501,15 +548,17 @@ def test_a_lone_trial_leg_takes_the_steps_of_integrate() -> None:
     state = np.array([0.3, -0.1])
     times = np.array([0.0, flow.period])
     alone = integrate(flow, state, 0.0, flow.period)
-    end, none = _integrate_legs(flow, state[None], times, variational=False)
-    assert none is None and np.array_equal(end[0], alone)
+    end, none, steps = _integrate_legs(flow, state[None], times, variational=False)
+    assert none is None and steps is None and np.array_equal(end[0], alone)
     assert _shooting_trial(flow, state[None], times) == (
-        float(np.max(np.abs(alone - state))), None, None)
+        float(np.max(np.abs(alone - state))), None, None, None)
 
 def test_two_saddle_solves_stay_within_an_rhs_budget() -> None:
     # The per-leg solve_ivp path made 4,256 rhs calls here, and 532 when
-    # each trial and each iterate was one ensemble of its own; now each
-    # accepted trial also carries the next iterate's variational legs.
+    # each trial and each iterate was one ensemble of its own; 304 when each
+    # accepted trial also carried the next iterate's variational legs, and
+    # 226 now that every integration after the first starts each leg from
+    # its remembered step.
     flow = splitting_flow(0.3)
     calls = 0
 
@@ -522,7 +571,7 @@ def test_two_saddle_solves_stay_within_an_rhs_budget() -> None:
     for guess in ((1.0, 0.0), (-1.0, 0.0)):
         res = find_subharmonic(counted_flow, 1, guess, segments=8)
         assert res.classification is OrbitClass.SADDLE
-    assert calls <= 320
+    assert calls <= 240
 
 
 def test_a_fused_trial_gives_the_plain_defect_and_the_variational_legs() -> None:
@@ -536,12 +585,12 @@ def test_a_fused_trial_gives_the_plain_defect_and_the_variational_legs() -> None
     xs = np.stack([saddle.initial_state] + [
         integrate(flow, saddle.initial_state, 0.0, float(t)) for t in times[1:-1]
     ]) + np.random.default_rng(5).uniform(-1e-3, 1e-3, size=(8, 2))
-    defect, ends, legs = _shooting_trial(flow, xs, times)
+    defect, ends, legs, _ = _shooting_trial(flow, xs, times)
     box = _TRIAL_ESCAPE * max(1.0, float(np.max(np.abs(xs))))
-    plain, _ = _integrate_legs(flow, xs, times, variational=False, box=box)
+    plain, _, _ = _integrate_legs(flow, xs, times, variational=False, box=box)
     assert defect > 1e-4
     assert abs(defect - max_gap(plain, np.roll(xs, -1, axis=0))) <= 1e-15
-    ref_ends, ref_legs = _integrate_legs(flow, xs, times, variational=True)
+    ref_ends, ref_legs, _ = _integrate_legs(flow, xs, times, variational=True)
     assert ends.shape == (8, 2) and legs.shape == (8, 2, 2)
     assert max_gap(ends, ref_ends) <= 1e-12
     assert max_gap(legs, ref_legs) <= 1e-12
@@ -550,13 +599,17 @@ def test_a_fused_trial_gives_the_plain_defect_and_the_variational_legs() -> None
 def sequential_newton(flow: FlowSpec, guess, tol: float, max_iter: int, segments: int):
     """Multiple-shooting Newton with one plain integration per backtracking
     trial and one variational integration per iterate; returns the leg
-    starts, the last residual and the number of rejected trials."""
+    starts, the last residual and the number of rejected trials.  Each
+    integration after the first starts its legs from the steps that the
+    previous iterate's variational integration proposed last."""
     n = flow.dim
     times = np.linspace(0.0, flow.period, segments + 1)
     xs = np.tile(np.asarray(guess, dtype=float), (segments, 1))
     rejected = 0
+    steps = None
     for _ in range(max_iter):
-        ends, legs = _integrate_legs(flow, xs, times, variational=True)
+        ends, legs, proposed = _integrate_legs(flow, xs, times, variational=True,
+                                               first_step=steps)
         defects = ends - np.roll(xs, -1, axis=0)
         residual = float(np.max(np.abs(defects)))
         if residual < tol:
@@ -568,27 +621,29 @@ def sequential_newton(flow: FlowSpec, guess, tol: float, max_iter: int, segments
             trial = xs + damping * step
             box = _TRIAL_ESCAPE * max(1.0, float(np.max(np.abs(trial))))
             try:
-                plain, _ = _integrate_legs(flow, trial, times, variational=False, box=box)
+                plain, _, _ = _integrate_legs(flow, trial, times, variational=False, box=box,
+                                              first_step=proposed)
             except StepFailure:
                 plain = np.full_like(trial, math.inf)
             if max_gap(plain, np.roll(trial, -1, axis=0)) < residual:
                 break
             damping *= 0.5
             rejected += 1
-        xs = xs + damping * step
+        xs, steps = xs + damping * step, proposed
     return xs, residual, rejected
 
 
 @pytest.mark.parametrize("guess, tol, max_iter, rejections", [((0.6, -0.4), 1e-10, 50, 8),
-                                                               ((1.0, 0.0), 1e-17, 7, 48)])
+                                                               ((-1.0, 0.0), 1e-17, 7, 13)])
 def test_multiple_shooting_makes_the_decisions_of_sequential_trials(
     guess, tol: float, max_iter: int, rejections: int
 ) -> None:
     # Fused trials must accept and reject as plain trials do.  From the
     # first guess, eight trials are rejected on the way to the left saddle;
-    # with the second tolerance, below the integrator's noise floor, the
-    # solve stalls at the right saddle and four iterations reject all
-    # twelve trials, so each next iterate is a step no trial integrated.
+    # with the second tolerance, below the integrator's noise floor (about
+    # 1e-15 once the legs start from their remembered steps), the solve
+    # stalls at the left saddle and its sixth iteration rejects all twelve
+    # trials, so the next iterate is a step no trial integrated.
     flow = splitting_flow(0.3)
     xs, residual, rejected = sequential_newton(flow, guess, tol, max_iter, 8)
     assert rejected == rejections
@@ -601,13 +656,41 @@ def test_multiple_shooting_makes_the_decisions_of_sequential_trials(
             find_subharmonic(flow, 1, guess, tol=tol, segments=8, max_iter=max_iter)
 
 
+def test_a_remembered_step_is_capped_where_the_trial_is_far_from_it() -> None:
+    # Newton's first full step from (0.6, -0.4) put the legs of the splitting
+    # saddle near |z1| = 130.  Started there with the step remembered from
+    # the iterate before (0.23 there, 0.25 here), the cubic flow overflowed
+    # inside the first step.  The remembered step is capped by SciPy's bound
+    # 100*h0 = d0/d1 on the state rows, so the trial escapes without a warning.
+    flow = splitting_flow(0.3)
+    stage_times = []
+
+    def rhs(t, z):
+        stage_times.append(np.array(t))
+        return flow.rhs(t, z)
+
+    xs = np.tile([100.0, 0.0], (8, 1))
+    times = np.linspace(0.0, flow.period, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        defect, *_ = _shooting_trial(replace(flow, rhs=rhs), xs, times, np.full(8, 0.25))
+    assert defect == math.inf
+    # The 13th call evaluates every member, plain and variational copies, at
+    # the end of its first step.
+    first = np.abs(stage_times[12] - stage_times[0])
+    scale = flow.abs_tol + np.abs(xs.T) * flow.rel_tol
+    d0 = np.linalg.norm(xs.T / scale, axis=0)
+    d1 = np.linalg.norm(flow.rhs(times[:-1], xs.T) / scale, axis=0)
+    assert np.all(first <= 1.000001 * np.tile(d0 / d1, 2)) and np.all(first < 1e-6)
+
+
 def test_a_trial_box_reads_the_state_rows_only() -> None:
     # x' = 8x, y' = -y from the origin: the legs' states stay at 0, well in
     # the trial box of 1,000, while each transition matrix grows to e^8,
     # about 2,981; the variational copies still reach their ends.
     a = np.diag([8.0, -1.0])
     flow = FlowSpec(rhs=lambda t, z: a @ z, jacobian=lambda t, z: a, period=2.0, dim=2)
-    defect, ends, legs = _shooting_trial(flow, np.zeros((2, 2)), np.array([0.0, 1.0, 2.0]))
+    defect, ends, legs, _ = _shooting_trial(flow, np.zeros((2, 2)), np.array([0.0, 1.0, 2.0]))
     assert defect == 0.0 and np.array_equal(ends, np.zeros((2, 2)))
     assert np.max(legs) > _TRIAL_ESCAPE
     for phi in legs:
@@ -691,6 +774,38 @@ def test_saddle_node_detection_recovers_a_lost_orbit_from_a_closer_state() -> No
     assert probed[:3] == [0.046875, 0.0546875, 0.046875]
 
 
+@pytest.mark.parametrize("param_tol", [-1.0, 0.0, math.nan])
+def test_saddle_node_detection_refuses_a_non_positive_param_tol(param_tol: float) -> None:
+    # The bisection runs while the bracket is wider than param_tol, one
+    # Newton solve per pass: with -1 it never ended.
+    probed = []
+
+    def family(p: float) -> FlowSpec:
+        probed.append(p)
+        return fold_family(p)
+
+    with pytest.raises(DomainError, match="param_tol must be positive"):
+        detect_saddle_node(family, 1, 0.0625, fold_state(0.0625), -0.0625,
+                           step=0.015625, param_tol=param_tol)
+    assert probed == []
+
+
+def test_saddle_node_detection_ends_its_bisection_at_adjacent_floats() -> None:
+    # The fold moved to p = 1, where floats are 2.2e-16 apart: a param_tol
+    # below that spacing leaves a bracket of two adjacent floats, with no
+    # midpoint left to probe.
+    probed = []
+
+    def family(p: float) -> FlowSpec:
+        probed.append(p)
+        return fold_family(p - 1.0)
+
+    fold = detect_saddle_node(family, 1, 1.0625, fold_state(0.0625), 0.9375,
+                              step=0.015625, param_tol=1e-300, max_iter=12)
+    assert abs(fold - 1.0) <= 2.3e-16
+    assert len(probed) < 60
+
+
 def test_saddle_node_detection_refuses_a_limit_where_the_orbit_exists() -> None:
     with pytest.raises(NoFoldInBracket, match="still exists at the limit 0.125"):
         detect_saddle_node(fold_family, 1, 0.5, fold_state(0.5), 0.125, step=0.125)
@@ -751,6 +866,42 @@ def sequential_trace(flow, trace, backward, box, max_iterates, planes=(), path_s
 
 def max_gap(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))))
+
+
+@pytest.mark.parametrize("offset", [-0.75, 0.75, 1.3, -2.0])
+def test_step_memory_moves_saddles_and_traces_only_within_tolerance(
+    offset: float, monkeypatch
+) -> None:
+    # One operation of the splitting experiment inside and outside its
+    # window, run again with every ensemble started from SciPy's initial
+    # step instead of a remembered one: fewer evaluations, the same chains.
+    def run():
+        flow, columns = column_counted(splitting_flow(offset))
+        saddles = [find_subharmonic(flow, 1, guess, segments=8)
+                   for guess in ((1.0, 0.0), (-1.0, 0.0))]
+        solving = columns[0]
+        traces = [trace_manifolds(flow, saddle, 2e-3, 160, box=2.0, max_iterates=2,
+                                  branches=(branch,))[0]
+                  for saddle, branch in zip(saddles, (ManifoldBranch.UNSTABLE_LEFT,
+                                                      ManifoldBranch.STABLE_RIGHT))]
+        return saddles, traces, np.array([solving, columns[0] - solving])
+
+    saddles, traces, evaluations = run()
+    ensemble = dynamics._ensemble_dop853
+    monkeypatch.setattr(dynamics, "_ensemble_dop853",
+                        lambda *args, first_step=None, **kwargs: ensemble(*args, **kwargs))
+    ref_saddles, ref_traces, ref_evaluations = run()
+    # Member evaluations of the two solves and of the two traces.
+    assert np.all(evaluations < ref_evaluations)
+    for res, ref in zip(saddles, ref_saddles):
+        assert max_gap(res.initial_state, ref.initial_state) <= 1e-10
+        moduli, ref_moduli = (np.sort(np.abs(r.multipliers)) for r in (res, ref))
+        assert np.all(np.abs(moduli - ref_moduli) <= 1e-8 * ref_moduli)
+    for trace, ref in zip(traces, ref_traces):
+        assert sorted(trace.indices) == sorted(ref.indices)
+        points = dict(zip(trace.indices, trace.points))
+        ref_points = dict(zip(ref.indices, ref.points))
+        assert max(max_gap(points[key], ref_points[key]) for key in points) <= 1e-6
 
 
 def test_linear_saddle_manifolds_lie_on_its_eigenlines() -> None:
