@@ -32,6 +32,13 @@ trial of a leg, and every strobe iterate of a manifold chain, so that only
 the first integration of a leg or a chain pays for the initial-step rule
 and for its short first step.
 
+A flow's periodic forcing does not depend on the state, so a flow can
+name it as its ``drive``: the ensemble evaluates the drive once per step,
+on all twelve stage times of every member, and hands each batched
+right-hand-side call its row of drive values in place of the times.
+Single-state calls, and so every ``_dop853`` integration, still receive
+the time.
+
 Two flow builders are provided: the rescaled planar system
 
     zeta1' = zeta2
@@ -120,32 +127,49 @@ _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _EPS = np.finfo(float).eps
 
 
+def _same_times(t: np.ndarray) -> np.ndarray:
+    """The identity drive: a batch receives its times."""
+    return t
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """A time-periodic vector field with its forcing period and tolerances.
 
     ``rhs(t, state)`` and ``jacobian(t, state)`` must accept any real time;
     ``period`` is the forcing period that defines the strobe section.
-    Both must also evaluate a batch: states of shape ``(dim, N)`` with times
-    of shape ``(N,)``.  ``rhs`` then returns the ``(dim, N)`` array whose
-    columns are the single-state results, and ``jacobian`` the
-    ``(dim, dim, N)`` array whose ``[:, :, j]`` is the Jacobian at column
-    ``j``; a Jacobian that does not depend on the state may return one
-    ``(dim, dim)`` matrix instead.  The ensemble integrator that moves
-    manifold chains and multiple-shooting legs calls them this way.
-    The single-trajectory stepper, which also runs single shooting, calls
-    them on one ``(dim,)`` state at a time, a dozen times per step, where
-    NumPy's per-call overhead outweighs the arithmetic; so
-    a builder should compute such a call on Python floats, as
-    ``scaled_flow`` does, and return a ``(dim,)`` or ``(dim, dim)`` float64
-    array.  The batch contract is the same either way, and the two paths
-    need only agree to rounding: ``scaled_flow``'s batch forms its cubic
-    terms as products where one state uses ``z1**3``, and folds ``eps_hat``
-    into its coefficients and into a forcing pre-scaled once by
-    ``eps_hat*delta_big``, where one state multiplies by them per call; its
-    branches agree within 1e-15 of the largest component.  A batch call
-    must leave its ``t`` and ``state`` arguments unchanged: the ensemble
-    reads them again.
+    Both must also evaluate a batch: states of shape ``(dim, N)`` with the
+    ``(N,)`` values of ``drive`` at their times (below).  ``rhs`` then
+    returns the ``(dim, N)`` array whose columns are the single-state
+    results, and ``jacobian`` the ``(dim, dim, N)`` array whose
+    ``[:, :, j]`` is the Jacobian at column ``j``; a Jacobian that does not
+    depend on the state may return one ``(dim, dim)`` matrix instead.  The
+    ensemble integrator that moves manifold chains and multiple-shooting
+    legs calls them this way.  The single-trajectory stepper, which also
+    runs single shooting, calls them on one ``(dim,)`` state at a time, a
+    dozen times per step, where NumPy's per-call overhead outweighs the
+    arithmetic; so a builder should compute such a call on Python floats,
+    as ``scaled_flow`` does, and return a ``(dim,)`` or ``(dim, dim)``
+    float64 array.  The batch contract is the same either way, and the two
+    paths need only agree to rounding: ``scaled_flow``'s batch forms its
+    cubic terms as products where one state uses ``z1**3``, and folds
+    ``eps_hat`` into its coefficients and its drive into a forcing
+    pre-scaled once by ``eps_hat*delta_big``, where one state multiplies by
+    them per call; its branches agree within 1e-15 of the largest
+    component.  A batch call must leave its ``t`` and ``state`` arguments
+    unchanged: the ensemble reads them again.
+
+    ``drive`` maps an array of times to the array of the same shape that a
+    batch call receives in place of the times; it defaults to the identity.
+    So a batch ``rhs`` and ``jacobian`` receive ``drive(t)``, while a
+    single-state call still receives the time ``t``.  A flow whose time
+    dependence is a state-free forcing evaluates that forcing in its
+    ``drive``, which the ensemble calls once per step on all stage times,
+    and leaves the state arithmetic to the per-stage batch call
+    (``scaled_flow`` does this).  A flow whose Jacobian depends on the time
+    keeps the identity drive.  ``drive`` must leave its argument unchanged.
+    Both tolerances must be finite and positive: SciPy's stepper and the
+    ensemble part ways on any other value, or never end.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -154,12 +178,16 @@ class FlowSpec:
     dim: int
     abs_tol: float = DEFAULT_ABS_TOL
     rel_tol: float = DEFAULT_REL_TOL
+    drive: Callable[[np.ndarray], np.ndarray] = _same_times
 
     def __post_init__(self) -> None:
         if not (self.period > 0.0):
             raise DomainError(f"period must be positive, got {self.period!r}")
         if self.dim not in (2, 3):
             raise DomainError(f"dimension must be 2 or 3, got {self.dim!r}")
+        for name, tol in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
+            if not 0.0 < tol < math.inf:
+                raise DomainError(f"{name} must be finite and positive, got {tol!r}")
 
 
 def scaled_flow(
@@ -200,33 +228,36 @@ def scaled_flow(
     # where b = +/-1 is an exact sign, applied by adding or subtracting the
     # cubic term, and zeta1**2 is the product z1 * z1 (NumPy's ``pow`` is
     # slow for negative bases).  So the branches agree to rounding: within
-    # 1e-15 of the largest component, not bit for bit.  The constants are
-    # 0-d float64 arrays, which NumPy applies to an array without converting
-    # them on every call.
+    # 1e-15 of the largest component, not bit for bit.  The last term is the
+    # drive, which a batch receives as ``d``.  The constants are 0-d float64
+    # arrays, which NumPy applies to an array without converting them on
+    # every call.
     c_om, c_ph, c_a, c_ab, c_3b, c_es2, c_2es2, c_enh = map(
         np.array, (om, ph, a, a * b, 3.0 * b, eh * s2, 2.0 * eh * s2, eh * nh))
     add_cubic = np.add if b > 0 else np.subtract
     scaled_forcing = forcing.scaled(eh * dl)
     top_row = np.array([[0.0], [1.0]])
 
+    def drive(t: np.ndarray) -> np.ndarray:
+        x = t * c_om
+        x += c_ph
+        return scaled_forcing(x)
+
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
         if z.ndim == 1:
             z1, z2 = z.tolist()
             drive = nh * z2 + s2 * z1 * z1 * z2 + dl * forcing(om * t + ph)
             return np.array([z2, a * z1 + b * z1**3 + eh * drive])
-        z1, z2 = z[0], z[1]
-        x = t * c_om
-        x += c_ph
-        acc = scaled_forcing(x)
+        d, z1, z2 = t, z[0], z[1]
         sq = z1 * z1
         damp = sq * c_es2
         damp += c_enh
         damp *= z2
-        acc += damp
+        damp += d
         sq += c_ab
         sq *= z1
         out = z[::-1].copy()  # row 0 is zeta2 and row 1 is written next
-        add_cubic(acc, sq, out=out[1])
+        add_cubic(damp, sq, out=out[1])
         return out
 
     def jac(t: float, z: np.ndarray) -> np.ndarray:
@@ -251,7 +282,7 @@ def scaled_flow(
 
     return FlowSpec(
         rhs=rhs, jacobian=jac, period=2.0 * math.pi / om, dim=2,
-        abs_tol=abs_tol, rel_tol=rel_tol,
+        abs_tol=abs_tol, rel_tol=rel_tol, drive=drive,
     )
 
 
@@ -472,8 +503,8 @@ def find_subharmonic(
     A single leg runs SciPy's DOP853 stepper, one plain integration per
     trial and then the accepted state with its variational equations: one
     ensemble member takes the same steps but pays the ensemble's per-step
-    bookkeeping for a single stage call, which makes a period 2.0-2.2
-    times slower on the pendulum flow and 2.6-2.7 times slower on the
+    bookkeeping for a single stage call, which makes a period 1.9-2.3
+    times slower on the pendulum flow and 2.1-2.5 times slower on the
     scaled flow.  Carrying the variational columns in a single leg's trials
     was measured only together with comparing each trial with the
     variational residual, like with like; that converges more solves and
@@ -559,8 +590,8 @@ def _integrate_legs(
         y0 = np.concatenate([xs.T, np.repeat(np.eye(n).reshape(n * n, 1), count, axis=1)])
     else:
         rhs, y0 = flow.rhs, xs.T
-    end = _ensemble_dop853(rhs, y0, times[:-1], times[1:], flow.abs_tol, flow.rel_tol,
-                           box=box, state_rows=n, first_step=first_step)
+    end = _ensemble_dop853(rhs, flow.drive, y0, times[:-1], times[1:], flow.abs_tol,
+                           flow.rel_tol, box=box, state_rows=n, first_step=first_step)
     if end.failed.any() or end.left_box.any():
         j = int(np.flatnonzero(end.failed | end.left_box)[0])
         why = (f"step size below the spacing between numbers, or no end after "
@@ -574,7 +605,8 @@ def _integrate_legs(
 def _variational_rhs(flow: FlowSpec):
     """The flow with its transition matrix, ``dim + dim*dim`` rows per member.
 
-    One state (a 1-D ``y``) and a batch (one column per member) share it.
+    One state (a 1-D ``y``) and a batch (one column per member) share it;
+    a batch's first argument is the flow's drive values, which it forwards.
     """
     n = flow.dim
 
@@ -635,7 +667,7 @@ def _shooting_trial(
     y0 = np.concatenate([np.tile(xs.T, 2),
                          np.repeat(np.hstack([np.zeros_like(eye), eye]), count, axis=1)])
     end = _ensemble_dop853(
-        _variational_rhs(flow), y0, np.tile(times[:-1], 2), np.tile(times[1:], 2),
+        _variational_rhs(flow), flow.drive, y0, np.tile(times[:-1], 2), np.tile(times[1:], 2),
         flow.abs_tol, flow.rel_tol, box=box, state_rows=n,
         norm_rows=np.repeat([n, n + n * n], count), decisive=count,
         first_step=None if first_step is None else np.tile(first_step, 2),
@@ -935,7 +967,7 @@ def trace_manifolds(
             if not live.size:
                 break
             end = _ensemble_dop853(
-                flow.rhs, heads[:, live], t0, t1, flow.abs_tol, flow.rel_tol,
+                flow.rhs, flow.drive, heads[:, live], t0, t1, flow.abs_tol, flow.rel_tol,
                 box=box, planes=planes, samples=path_samples,
                 first_step=steps[live] if iterate > 1 else None,
             )
@@ -1009,7 +1041,7 @@ def _rms(x: np.ndarray, rows: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.sqrt(np.add.reduce(x, axis=axis)) / np.sqrt(rows)
 
 
-def _initial_step(rhs, t0: np.ndarray, y0, f0, t1: np.ndarray, direction: float,
+def _initial_step(rhs, drive, t0: np.ndarray, y0, f0, t1: np.ndarray, direction: float,
                   abs_tol: float, rel_tol: float, rows: np.ndarray,
                   first_step: np.ndarray | None = None) -> np.ndarray:
     """Each column's first step, clipped to its interval.
@@ -1030,7 +1062,7 @@ def _initial_step(rhs, t0: np.ndarray, y0, f0, t1: np.ndarray, direction: float,
             return np.minimum(np.minimum(first_step, 100.0 * h0), interval)
         h0 = np.minimum(h0, interval)
         step = h0 * direction
-        f1 = rhs(t0 + step, y0 + step * f0)
+        f1 = rhs(drive(t0 + step), y0 + step * f0)
         d12 = np.maximum(d1, _rms((f1 - f0) / scale, rows) / h0)
         h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / d12) ** -_ERROR_EXPONENT)
     return np.minimum(np.minimum(100.0 * h0, h1), interval)
@@ -1039,8 +1071,11 @@ def _initial_step(rhs, t0: np.ndarray, y0, f0, t1: np.ndarray, direction: float,
 #: Stage weights ``[1, A[s, :s]]`` of the extended tableau, 1 weighing the
 #: state; row 12 is ``[1, B]``, the 8th-order solution.
 _A_ROWS = [np.append(1.0, _DOP853.A[s, :s]) for s in range(_DOP853.N_STAGES_EXTENDED)]
-#: Stage time fractions; the 13th, 1, is the closing evaluation at ``t + h``.
-_C_STEP = _DOP853.C[:_N_STAGES + 1, None]
+#: Time fractions of stages 1 to 11 and, last, 1: the closing evaluation at
+#: ``t + h`` (stage 0 is the derivative at the state, known from the step before).
+_C_STEP = _DOP853.C[1:_N_STAGES + 1, None]
+#: Time fractions of the interpolant's three extra stages.
+_C_EXTRA = _DOP853.C[_N_STAGES + 1:, None]
 #: The 5th- and 3rd-order error estimators, one row each.
 _E53 = np.stack([_DOP853.E5, _DOP853.E3])
 #: Smallest positive double: a floor that leaves every positive value as it is.
@@ -1062,6 +1097,7 @@ def _workspace(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ensemble_dop853(
     rhs,
+    drive,
     y0: np.ndarray,
     t0,
     t1,
@@ -1089,13 +1125,20 @@ def _ensemble_dop853(
     needs no further right-hand-side call: a step remembered from another
     integration can be far too long where the member now starts.  Each
     member's end reports the step it last tried (see :class:`_EnsembleEnd`).
-    The members share each stage's right-hand-side call, ``rhs(t, Y)`` with
-    ``t`` of shape ``(N,)`` and ``Y`` of shape ``(dim, N)``.  A member ends
-    at its ``t1``, at its first accepted step whose leading ``state_rows``
-    rows (default all) have ``max|state| > box``, or on step failure: a
-    step size below SciPy's ``min_step``, or no end after ``_MAX_STEPS``
-    step attempts.  That budget counts rejected steps too, where :func:`_dop853`
-    counts accepted ones, and so costs no work per step.  Member ``j``'s
+    The members share each stage's right-hand-side call, ``rhs(d, Y)`` with
+    ``Y`` of shape ``(dim, N)`` and ``d = drive(t)``, the flow's drive at
+    the stage times ``t`` of shape ``(N,)`` (see :class:`FlowSpec`).  The
+    drive is required, as passing the times to a flow that expects its
+    drive values gives wrong states without an error.  It is evaluated once
+    per step, on the ``(12, N)`` times of the step's stages after the first
+    and of its closing evaluation, and once for each other batch of times:
+    the start, the initial-step probe and an interpolant's extra stages.
+    A member ends at its ``t1``, at its first accepted step whose leading
+    ``state_rows`` rows (default all) have ``max|state| > box``, or on step
+    failure: a step size below SciPy's ``min_step``, or no end after
+    ``_MAX_STEPS`` step attempts.  That budget counts rejected steps too,
+    where :func:`_dop853` counts accepted ones, and so costs no work per
+    step.  Member ``j``'s
     error norm and initial step count ``norm_rows[j]`` rows (default all),
     and its further rows must stay zero: a plain multiple-shooting leg
     carries zero transition columns, which its Jacobian keeps at zero, and
@@ -1144,12 +1187,12 @@ def _ensemble_dop853(
     live = np.arange(count)
     Z, flat = _workspace(n, count)
     Z[0] = y0
-    f = np.array(rhs(t, y0))
+    f = np.array(rhs(drive(t), y0))
     if first_step is None:
-        h_abs = _initial_step(rhs, t, y0, f, t_end, direction, atol, rtol, rows)
+        h_abs = _initial_step(rhs, drive, t, y0, f, t_end, direction, atol, rtol, rows)
     else:
-        h_abs = _initial_step(rhs, t, y0[:state_rows], f[:state_rows], t_end, direction,
-                              atol, rtol, float(state_rows), first_step)
+        h_abs = _initial_step(rhs, drive, t, y0[:state_rows], f[:state_rows], t_end,
+                              direction, atol, rtol, float(state_rows), first_step)
     # A member retrying a rejected step may not grow it (SciPy's factor cap).
     cap = np.full(count, MAX_FACTOR)
     # Every member starts at once, so its step attempts are the loop's.
@@ -1162,13 +1205,13 @@ def _ensemble_dop853(
         proposed = h_abs
         t_new = clip(t + h_abs if direction > 0 else t - h_abs, t_end)
         h = t_new - t
-        times = t + _C_STEP * h
+        d = drive(t + _C_STEP * h)  # row s - 1 drives stage s
         np.multiply(f, h, out=Z[1])
         for s in range(1, _N_STAGES):  # Z[-1] holds each stage's argument
             np.dot(_A_ROWS[s], flat[:s + 1], out=flat[-1])
-            np.multiply(rhs(times[s], Z[-1]), h, out=Z[s + 1])
+            np.multiply(rhs(d[s - 1], Z[-1]), h, out=Z[s + 1])
         y_new = np.dot(_A_ROWS[_N_STAGES], flat[:_N_STAGES + 1])[:n * m].reshape(n, m)
-        f_new = rhs(times[-1], y_new)
+        f_new = rhs(d[-1], y_new)
         np.multiply(f_new, h, out=Z[-1])
 
         abs_new = np.abs(y_new)
@@ -1197,7 +1240,7 @@ def _ensemble_dop853(
             )
             need = np.flatnonzero(hit.any(axis=0) | (upto > due))
             if need.size:
-                sols = _interpolants(rhs, Z, t, t_new, y_new, need)
+                sols = _interpolants(rhs, drive, Z, t, t_new, y_new, need)
                 for j, sol in zip(need, sols):
                     member = live[j]
                     for p in np.flatnonzero(hit[:, j]):
@@ -1244,7 +1287,7 @@ def _ensemble_dop853(
     return _EnsembleEnd(states, left_box, failed, last_step, cuts, paths)
 
 
-def _interpolants(rhs, Z, t, t_new, y_new, need):
+def _interpolants(rhs, drive, Z, t, t_new, y_new, need):
     """SciPy's DOP853 dense output of the step ``t -> t_new`` of members ``need``.
 
     ``Z`` is the step's ``(14, dim, N)`` workspace (see :func:`_ensemble_dop853`).
@@ -1252,12 +1295,13 @@ def _interpolants(rhs, Z, t, t_new, y_new, need):
     n, k = Z.shape[1], need.size
     tn = t[need]
     hn = t_new[need] - tn
+    d = drive(tn + _C_EXTRA * hn)
     ext = np.empty((_DOP853.N_STAGES_EXTENDED + 1, n, k))
     ext[:len(Z)] = Z[:, :, need]
     flat = ext.reshape(-1, n * k)
-    for s in range(_N_STAGES + 1, _DOP853.N_STAGES_EXTENDED):
+    for s, ds in zip(range(_N_STAGES + 1, _DOP853.N_STAGES_EXTENDED), d):
         stage = np.dot(_A_ROWS[s], flat[:s + 1]).reshape(n, k)
-        np.multiply(rhs(tn + _DOP853.C[s] * hn, stage), hn, out=ext[s + 1])
+        np.multiply(rhs(ds, stage), hn, out=ext[s + 1])
     delta = y_new[:, need] - ext[0]
     F = np.empty((_DOP853.INTERPOLATOR_POWER, n, k))
     F[0] = delta

@@ -90,6 +90,19 @@ def test_a_non_positive_newton_tolerance_exits_2(tmp_path, capsys) -> None:
     assert "tol must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--abs-tol", "--rel-tol"])
+def test_a_nan_tolerance_exits_2_before_integrating(option: str, tmp_path, monkeypatch,
+                                                    capsys) -> None:
+    # ``simulate --abs-tol nan`` used to integrate without end.
+    def no_integration(*_):
+        raise AssertionError("the flow was integrated")
+
+    monkeypatch.setattr(cli, "trajectory", no_integration)
+    out = str(tmp_path / "run.csv")
+    assert cli.main(["simulate", "--state", "0.1,0", option, "nan", "-o", out]) == 2
+    assert "must be finite and positive, got nan" in capsys.readouterr().err
+
+
 def test_simulate_refuses_a_state_of_the_wrong_dimension(tmp_path) -> None:
     out = str(tmp_path / "run.csv")
     assert cli.main(["simulate", "--state", "1,2,3", "-o", out]) == 2

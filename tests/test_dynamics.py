@@ -246,7 +246,7 @@ def test_rhs_evaluates_a_batch_column_by_column(build) -> None:
     rng = np.random.default_rng(7)
     states = rng.uniform(-1.5, 1.5, size=(flow.dim, 9))
     times = rng.uniform(-3.0, 3.0, size=9)
-    batched = flow.rhs(times, states)
+    batched = flow.rhs(flow.drive(times), states)
     columns = np.stack(
         [assert_single_state_call(build, flow, float(t), states[:, j], 0)
          for j, t in enumerate(times)], axis=1
@@ -261,7 +261,7 @@ def test_jacobian_evaluates_a_batch_column_by_column(build) -> None:
     rng = np.random.default_rng(8)
     states = rng.uniform(-1.5, 1.5, size=(flow.dim, 9))
     times = rng.uniform(-3.0, 3.0, size=9)
-    batched = flow.jacobian(times, states)
+    batched = flow.jacobian(flow.drive(times), states)
     columns = np.stack(
         [assert_single_state_call(build, flow, float(t), states[:, j], 1)
          for j, t in enumerate(times)], axis=2
@@ -272,19 +272,37 @@ def test_jacobian_evaluates_a_batch_column_by_column(build) -> None:
 
 @pytest.mark.parametrize("build", FLOWS)
 def test_batch_calls_leave_their_arguments_unchanged(build) -> None:
-    # The ensemble passes a row view of its stage-time array and a stage
-    # state it reads again, so a stray in-place operation on an argument
-    # would corrupt later stages without any error.
+    # The ensemble passes its stage times to the drive, a row view of the
+    # drive values and a stage state it reads again, so a stray in-place
+    # operation on an argument would corrupt later stages without any error.
     flow = build()
     rng = np.random.default_rng(9)
     times = rng.uniform(-3.0, 3.0, size=(3, 9))
     states = rng.uniform(-1.5, 1.5, size=(flow.dim, 9))
-    t, z = times[1], states
+    times_before = times.tobytes()
+    drive = flow.drive(times)
+    assert times.tobytes() == times_before and drive.shape == times.shape
+    t, z = drive[1], states
     for call in (flow.rhs, flow.jacobian):
         t_before, z_before = t.tobytes(), z.tobytes()
         value = call(t, z)
         assert t.tobytes() == t_before and z.tobytes() == z_before
         assert not np.shares_memory(value, t) and not np.shares_memory(value, z)
+
+
+@pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("bad", [0.0, -1e-10, math.nan, math.inf])
+def test_a_flow_refuses_a_tolerance_that_is_not_finite_and_positive(name: str, bad) -> None:
+    # With a NaN tolerance both integrators ran on without end; with a
+    # negative one SciPy's stepper raised where the ensemble converged, and
+    # with zero the ensemble failed its first step where SciPy's warned and
+    # went on.  The flow refuses them when it is built.
+    flow, columns = column_counted(oscillator())
+    with pytest.raises(DomainError, match=f"{name} must be finite and positive"):
+        integrate(replace(flow, **{name: bad}), np.array([0.5, -0.2]), 0.0, flow.period)
+    with pytest.raises(DomainError, match=f"{name} must be finite and positive"):
+        scaled_flow(**SPLITTING, **{name: bad})
+    assert columns[0] == 0
 
 
 def variational_leg(flow: FlowSpec, state, t0: float, t1: float):
@@ -359,7 +377,8 @@ def test_ensemble_chains_take_the_steps_of_lone_integrations(backward: bool) -> 
     chains = lower_connection(160)
     t0, t1 = (flow.period, 0.0) if backward else (0.0, flow.period)
     counted, columns = column_counted(flow)
-    end = _ensemble_dop853(counted.rhs, chains, t0, t1, flow.abs_tol, flow.rel_tol, box=2.0)
+    end = _ensemble_dop853(counted.rhs, flow.drive, chains, t0, t1, flow.abs_tol,
+                           flow.rel_tol, box=2.0)
     assert not end.failed.any() and end.left_box.sum() == (97 if backward else 0)
     evaluations = 0
     for j, chain in enumerate(chains.T):
@@ -385,8 +404,8 @@ def test_an_ensemble_member_given_a_first_step_takes_the_steps_scipy_takes_from_
     chains = lower_connection(8)
     first = np.geomspace(1e-3, 0.3, 8)
     counted, columns = column_counted(flow)
-    end = _ensemble_dop853(counted.rhs, chains, 0.0, flow.period, flow.abs_tol, flow.rel_tol,
-                           first_step=first)
+    end = _ensemble_dop853(counted.rhs, flow.drive, chains, 0.0, flow.period, flow.abs_tol,
+                           flow.rel_tol, first_step=first)
     assert not (end.failed.any() or end.left_box.any())
     evaluations = 0
     for j, chain in enumerate(chains.T):
@@ -406,7 +425,7 @@ def test_ensemble_path_samples_match_trajectory() -> None:
     # are the ones ``trajectory`` reads from its own steps' interpolants.
     flow = splitting_flow(0.0)
     chains = lower_connection(12)
-    end = _ensemble_dop853(flow.rhs, chains, 0.0, flow.period, flow.abs_tol,
+    end = _ensemble_dop853(flow.rhs, flow.drive, chains, 0.0, flow.period, flow.abs_tol,
                            flow.rel_tol, samples=33)
     assert end.cuts == [[] for _ in range(12)]
     for j, chain in enumerate(chains.T):
@@ -483,7 +502,8 @@ def test_an_escaping_plain_leg_ends_the_whole_trial() -> None:
     assert _shooting_trial(flow, xs, np.array([0.0, 0.5, 1.0])) == (math.inf, None, None, None)
     fused, calls = calls, 0
     box = _TRIAL_ESCAPE * 4.0
-    alone = _ensemble_dop853(counted, xs[:1].T, 0.0, 0.5, flow.abs_tol, flow.rel_tol, box=box)
+    alone = _ensemble_dop853(counted, flow.drive, xs[:1].T, 0.0, 0.5, flow.abs_tol,
+                             flow.rel_tol, box=box)
     assert alone.left_box[0] and fused == calls
 
 
@@ -527,10 +547,12 @@ def test_an_ensemble_member_ends_at_the_step_budget(monkeypatch) -> None:
                        delta_big=1.0, forcing=cosine(1.0))
     counted, columns = column_counted(flow)
     states = np.array([[0.549, 0.3], [0.554, -0.1]])
-    end = _ensemble_dop853(counted.rhs, states, 0.0, 8.22, flow.abs_tol, flow.rel_tol)
+    end = _ensemble_dop853(counted.rhs, flow.drive, states, 0.0, 8.22, flow.abs_tol,
+                           flow.rel_tol)
     assert end.failed.tolist() == [True, False] and not end.left_box.any()
     assert columns[0] < 2 * 13 * _MAX_STEPS
-    alone = _ensemble_dop853(flow.rhs, states[:, 1:], 0.0, 8.22, flow.abs_tol, flow.rel_tol)
+    alone = _ensemble_dop853(flow.rhs, flow.drive, states[:, 1:], 0.0, 8.22, flow.abs_tol,
+                             flow.rel_tol)
     assert not alone.failed[0] and max_gap(end.states[:, 1], alone.states[:, 0]) < 1e-14
     lone = _dop853(flow.rhs, states[:, 1], 0.0, 8.22, flow.abs_tol, flow.rel_tol)
     assert max_gap(end.states[:, 1], lone) < 1e-12
@@ -663,24 +685,25 @@ def test_a_remembered_step_is_capped_where_the_trial_is_far_from_it() -> None:
     # inside the first step.  The remembered step is capped by SciPy's bound
     # 100*h0 = d0/d1 on the state rows, so the trial escapes without a warning.
     flow = splitting_flow(0.3)
-    stage_times = []
+    drive_times = []
 
-    def rhs(t, z):
-        stage_times.append(np.array(t))
-        return flow.rhs(t, z)
+    def drive(t):
+        drive_times.append(np.array(t))
+        return flow.drive(t)
 
     xs = np.tile([100.0, 0.0], (8, 1))
     times = np.linspace(0.0, flow.period, 9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        defect, *_ = _shooting_trial(replace(flow, rhs=rhs), xs, times, np.full(8, 0.25))
+        defect, *_ = _shooting_trial(replace(flow, drive=drive), xs, times, np.full(8, 0.25))
     assert defect == math.inf
-    # The 13th call evaluates every member, plain and variational copies, at
-    # the end of its first step.
-    first = np.abs(stage_times[12] - stage_times[0])
+    # The drive's first call is at every member's start, plain and
+    # variational copies, and its second on the stage times of their first
+    # step, whose last row is the step's end.
+    first = np.abs(drive_times[1][-1] - drive_times[0])
     scale = flow.abs_tol + np.abs(xs.T) * flow.rel_tol
     d0 = np.linalg.norm(xs.T / scale, axis=0)
-    d1 = np.linalg.norm(flow.rhs(times[:-1], xs.T) / scale, axis=0)
+    d1 = np.linalg.norm(flow.rhs(flow.drive(times[:-1]), xs.T) / scale, axis=0)
     assert np.all(first <= 1.000001 * np.tile(d0 / d1, 2)) and np.all(first < 1e-6)
 
 
@@ -902,6 +925,76 @@ def test_step_memory_moves_saddles_and_traces_only_within_tolerance(
         points = dict(zip(trace.indices, trace.points))
         ref_points = dict(zip(ref.indices, ref.points))
         assert max(max_gap(points[key], ref_points[key]) for key in points) <= 1e-6
+
+
+def per_stage_forcing(flow: FlowSpec) -> FlowSpec:
+    """``flow`` with the identity drive, its batch ``rhs`` evaluating the
+    forcing at every call, as the ensemble's stages did before the drive."""
+    def rhs(t, z):
+        return flow.rhs(flow.drive(t) if z.ndim == 2 else t, z)
+
+    return replace(flow, rhs=rhs, drive=lambda t: t)
+
+
+@pytest.mark.parametrize("offset", [-0.75, 0.75, 1.3, -2.0])
+def test_a_drive_evaluated_once_per_step_changes_no_bit(offset: float, monkeypatch) -> None:
+    # One operation of the splitting experiment, inside and outside its
+    # window, and a traced path, once with the forcing evaluated once per
+    # ensemble step and once at every stage.  The two take the same steps
+    # with the same arithmetic, so every output agrees bit for bit and the
+    # batched calls are as many.
+    ensemble = dynamics._ensemble_dop853
+    probed = []  # per ensemble: whether it runs the initial-step probe
+
+    def counted_ensemble(*args, first_step=None, **kwargs):
+        probed.append(first_step is None)
+        return ensemble(*args, first_step=first_step, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_ensemble_dop853", counted_ensemble)
+
+    def run(flow: FlowSpec):
+        shapes, batches = [], [0]
+
+        def drive(t):
+            shapes.append(np.shape(t))
+            return flow.drive(t)
+
+        def rhs(t, z):
+            batches[0] += z.ndim == 2
+            return flow.rhs(t, z)
+
+        counted = replace(flow, rhs=rhs, drive=drive)
+        probed.clear()
+        saddles = [find_subharmonic(counted, 1, guess, segments=8)
+                   for guess in ((1.0, 0.0), (-1.0, 0.0))]
+        traces = [trace_manifolds(counted, saddle, 2e-3, 160, box=2.0, max_iterates=2,
+                                  branches=(branch,))[0]
+                  for saddle, branch in zip(saddles, (ManifoldBranch.UNSTABLE_LEFT,
+                                                      ManifoldBranch.STABLE_RIGHT))]
+        traces += trace_manifolds(counted, saddles[0], 2e-3, 8, box=2.0, max_iterates=2,
+                                  path_samples=9, branches=(ManifoldBranch.UNSTABLE_LEFT,))
+        return saddles, traces, shapes, batches[0], list(probed)
+
+    flow = splitting_flow(offset)
+    saddles, traces, shapes, batches, probes = run(flow)
+    ref_saddles, ref_traces, _, ref_batches, _ = run(per_stage_forcing(flow))
+    for res, ref in zip(saddles, ref_saddles):
+        assert np.array_equal(res.initial_state, ref.initial_state)
+        assert res.residual == ref.residual
+        assert np.array_equal(res.monodromy, ref.monodromy)
+    for trace, ref in zip(traces, ref_traces):
+        assert trace.indices == ref.indices and trace.points == ref.points
+        assert trace.path == ref.path
+    assert len(traces[-1].path) > 0
+    # One drive call per step on its twelve stage times, one at each start
+    # and initial-step probe on the members' times, and one per interpolant
+    # on its three extra stage times.
+    steps = sum(len(s) == 2 and s[0] == 12 for s in shapes)
+    singles = sum(len(s) == 1 for s in shapes)
+    extras = sum(len(s) == 2 and s[0] == 3 for s in shapes)
+    assert steps + singles + extras == len(shapes) and extras > 0
+    assert singles == len(probes) + sum(probes)
+    assert batches == ref_batches == 12 * steps + singles + 3 * extras
 
 
 def test_linear_saddle_manifolds_lie_on_its_eigenlines() -> None:
