@@ -60,7 +60,6 @@ from .dynamics import (
     find_subharmonic,
     integrate,
     liouville_defect,
-    monodromy,
     pendulum_flow,
     poincare_map,
     scaled_flow,
@@ -102,23 +101,16 @@ from .normalform import (
     SymmetricSystemCoeffs,
     reduce,
     scale,
-    unscale,
 )
 from .orbits import (
     FamilyKind,
     FamilyTag,
     OrbitPoint,
-    action,
     cubic_coefficients,
-    energy,
     evaluate,
-    freq_action_derivative_sign,
-    hamiltonian,
     modulus_range,
     period,
-    period_derivative,
     resonant_modulus,
-    saddle_points,
     unperturbed_rhs,
 )
 from .pendulum import (

@@ -87,7 +87,6 @@ __all__ = [
     "pendulum_flow",
     "integrate",
     "poincare_map",
-    "monodromy",
     "find_subharmonic",
     "detect_saddle_node",
     "trace_manifolds",
@@ -413,19 +412,6 @@ def _transition(
     yf = _dop853(_variational_rhs(flow), y0, t0, t1, flow.abs_tol, flow.rel_tol,
                  period=flow.period)
     return yf[:n], yf[n:].reshape(n, n)
-
-
-def monodromy(flow: FlowSpec, state, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Final state and monodromy matrix over ``m`` forcing periods.
-
-    Integrates the variational equations alongside the flow, so the returned
-    matrix is the derivative of the ``m``-th strobe map at ``state``.
-    """
-    n = flow.dim
-    x0 = np.asarray(state, dtype=float)
-    if x0.shape != (n,):
-        raise DomainError(f"state must have shape ({n},), got {x0.shape}")
-    return _transition(flow, x0, 0.0, m * flow.period)
 
 
 class OrbitClass(enum.Enum):

@@ -42,8 +42,6 @@ __all__ = [
     "complete_K_complement",
     "complete_E",
     "jacobi_sn_cn_dn",
-    "dK_dk",
-    "dE_dk",
 ]
 
 #: Moduli at or above this value make K numerically divergent; rejected.
@@ -161,21 +159,3 @@ def jacobi_sn_cn_dn(u, k: EllipticModulus | float):
         return (float(sn), float(cn), float(dn))
     return (sn, cn, dn)
 
-
-def dK_dk(k: EllipticModulus | float) -> float:
-    """Derivative of ``complete_K`` with respect to the modulus."""
-    kv = _modulus_value(k)
-    if kv == 0.0:
-        return 0.0
-    e = complete_E(kv)
-    big_k = complete_K(kv)
-    kp2 = (1.0 - kv) * (1.0 + kv)
-    return (e - kp2 * big_k) / (kv * kp2)
-
-
-def dE_dk(k: EllipticModulus | float) -> float:
-    """Derivative of ``complete_E`` with respect to the modulus."""
-    kv = _modulus_value(k)
-    if kv == 0.0:
-        return 0.0
-    return (complete_E(kv) - complete_K(kv)) / kv

@@ -42,7 +42,6 @@ __all__ = [
     "FORCING_MEAN_TOL",
     "reduce",
     "scale",
-    "unscale",
 ]
 
 #: Cubic combinations smaller than this are treated as degenerate.
@@ -262,8 +261,3 @@ def scale(nf: NormalFormParams, eps: float) -> ScaledParams:
         branch=branch,
     )
 
-
-def unscale(sp: ScaledParams) -> tuple[float, float, float, float]:
-    """Invert :func:`scale`, returning ``(nu1, nu2, omega_bar, eps)``."""
-    e2 = sp.eps_hat**2
-    return (sp.nu1, sp.nu_hat * e2, sp.omega_hat * sp.eps_hat, sp.delta_big * e2 * e2)

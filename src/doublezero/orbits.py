@@ -7,9 +7,9 @@ point reduce to one of three conservative oscillators
 
 whose bounded orbits are expressible in Jacobi elliptic functions.  This
 module provides the six orbit families (two separatrix pairs and four
-periodic families), their closed-form periods, energies, and actions,
-plus the resonance solver used by the subharmonic analysis (Brent's
-method on the closed-form period).
+periodic families), their closed-form periods and velocity spectra, and
+the resonance solver used by the subharmonic analysis (Brent's method on
+the closed-form period).
 
 Family atlas
 ------------
@@ -43,12 +43,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .elliptic import (
-    K_MODULUS_CUTOFF,
     EllipticModulus,
-    complete_E,
     complete_K,
     complete_K_complement,
-    dK_dk,
     jacobi_sn_cn_dn,
 )
 from .errors import DomainError, NoResonance, ResonanceViolation
@@ -59,16 +56,10 @@ __all__ = [
     "OrbitPoint",
     "SEPARATRIX_CLAMP_TIME",
     "cubic_coefficients",
-    "hamiltonian",
     "unperturbed_rhs",
-    "saddle_points",
     "modulus_range",
     "evaluate",
     "period",
-    "period_derivative",
-    "energy",
-    "action",
-    "freq_action_derivative_sign",
     "resonant_modulus",
 ]
 
@@ -164,27 +155,11 @@ def cubic_coefficients(family: FamilyKind | FamilyTag) -> tuple[float, float]:
     return (1.0, -1.0)
 
 
-def hamiltonian(family: FamilyKind | FamilyTag, zeta1: float, zeta2: float) -> float:
-    """Energy ``H = zeta2**2/2 - a*zeta1**2/2 - b*zeta1**4/4`` of the host system."""
-    a, b = cubic_coefficients(family)
-    return 0.5 * zeta2 * zeta2 - 0.5 * a * zeta1 * zeta1 - 0.25 * b * zeta1**4
-
-
 def unperturbed_rhs(family: FamilyKind | FamilyTag, state: np.ndarray) -> np.ndarray:
     """Right-hand side of the host Hamiltonian system at ``state=(zeta1, zeta2)``."""
     a, b = cubic_coefficients(family)
     z1, z2 = state[0], state[1]
     return np.array([z2, a * z1 + b * z1**3])
-
-
-def saddle_points(family: FamilyKind | FamilyTag) -> tuple[OrbitPoint, ...]:
-    """Saddle equilibria of the host system (empty for the globally periodic one)."""
-    tag = _as_kind(family).tag
-    if tag in (FamilyTag.HET_PAIR, FamilyTag.INSIDE_HET):
-        return (OrbitPoint(-1.0, 0.0), OrbitPoint(1.0, 0.0))
-    if tag is FamilyTag.GLOBAL:
-        return ()
-    return (OrbitPoint(0.0, 0.0),)
 
 
 def modulus_range(family: FamilyKind | FamilyTag) -> tuple[float, float]:
@@ -333,50 +308,6 @@ def period(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
     return quarters * complete_K(kv) * math.sqrt(c + s * kv * kv)
 
 
-def period_derivative(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
-    """Closed-form ``dT/dk`` of a periodic family."""
-    fam = _as_kind(family)
-    _require_periodic(fam)
-    kv = _checked_modulus(fam, k)
-    c, s, quarters = _TIME_SCALE[fam.tag]
-    scale = math.sqrt(c + s * kv * kv)
-    return quarters * (dK_dk(kv) * scale + s * complete_K(kv) * kv / scale)
-
-
-def energy(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
-    """Hamiltonian level of the periodic orbit with modulus ``k``."""
-    fam = _as_kind(family)
-    _require_periodic(fam)
-    kv = _checked_modulus(fam, k)
-    k2 = kv * kv
-    if fam.tag is FamilyTag.INSIDE_HET:
-        return k2 / (k2 + 1.0) ** 2
-    if fam.tag is FamilyTag.GLOBAL:
-        return k2 * (1.0 - k2) / (1.0 - 2.0 * k2) ** 2
-    if fam.tag is FamilyTag.INSIDE_HOM:
-        return (k2 - 1.0) / (2.0 - k2) ** 2
-    return k2 * (1.0 - k2) / (2.0 * k2 - 1.0) ** 2
-
-
-def action(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
-    """Action ``I = (1/2pi) * integral of zeta2**2 over one period``, by the
-    periodic trapezoid rule on 2048 samples (exponentially convergent here)."""
-    fam = _as_kind(family)
-    _require_periodic(fam)
-    kv = _checked_modulus(fam, k)
-    ts, step = np.linspace(0.0, period(fam, kv), 2048, endpoint=False, retstep=True)
-    return float(np.sum(evaluate(fam, kv, ts).zeta2 ** 2)) * step / (2.0 * math.pi)
-
-
-def freq_action_derivative_sign(family: FamilyKind | FamilyTag) -> int:
-    """Sign of ``d(frequency)/d(action)`` along the periodic family."""
-    fam = _as_kind(family)
-    _require_periodic(fam)
-    if fam.tag in (FamilyTag.INSIDE_HET, FamilyTag.INSIDE_HOM):
-        return -1
-    return 1
-
-
 # Residual acceptance for the resonance condition |n*T - m*T_hat| <= tol*T_hat.
 _RESONANCE_RTOL = 1e-12
 # Relative root tolerance of Brent's method, a few ulps; its absolute tolerance
@@ -412,7 +343,8 @@ def resonant_modulus(
         If ``m`` and ``n`` are not coprime positive integers.
     NoResonance
         If the target period lies outside the family's period range, or no
-        modulus meets the residual tolerance.
+        float modulus meets the residual tolerance: near ``k = 1`` adjacent
+        floats can be farther apart in period than the tolerance.
     """
     fam = _as_kind(family)
     _require_periodic(fam)
@@ -448,18 +380,25 @@ def resonant_modulus(
     for x, g in zip(ends, g_ends):
         if g == 0.0:
             return EllipticModulus(modulus(x))
+
+    def attainable() -> str:
+        t_lo, t_hi = sorted(g + target for g in g_ends)
+        return (f"the attainable range [{t_lo!r}, {t_hi!r}] of family {fam.tag.value!r} "
+                f"(m={m}, n={n}, omega_hat={omega_hat!r})")
+
     if g_ends[0] * g_ends[1] > 0.0:
-        t_lo, t_hi = (g + target for g in g_ends)
-        raise NoResonance(
-            f"target period {target!r} outside the attainable range "
-            f"[{min(t_lo, t_hi)!r}, {max(t_lo, t_hi)!r}] "
-            f"of family {fam.tag.value!r} (m={m}, n={n}, omega_hat={omega_hat!r})"
-        )
+        raise NoResonance(f"target period {target!r} outside {attainable()}")
 
     x_root = brentq(excess, *ends, xtol=math.ulp(0.0), rtol=_BRENT_RTOL, disp=False)
+    kv = modulus(x_root)
     if excess(x_root) != 0.0:
+        # Near k = 1 the period is linear in log(1 - k**2), while a float k
+        # carries 1 - k**2 only in steps of about 2.2e-16.
+        step = n * abs(period(fam, math.nextafter(kv, 1.0)) - period(fam, kv))
         raise NoResonance(
-            f"resonance residual above tolerance at k={modulus(x_root)!r} "
-            f"(family {fam.tag.value!r}, m={m}, n={n}, omega_hat={omega_hat!r})"
+            f"target period {target!r} lies inside {attainable()}, but its root "
+            f"needs 1 - k**2 = {(1.0 - kv) * (1.0 + kv):.3g} finer than a float "
+            f"modulus resolves: adjacent float moduli there are {step:.2g} apart "
+            f"in n*T, against a tolerance of {tol:.2g}"
         )
-    return EllipticModulus(modulus(x_root))
+    return EllipticModulus(kv)

@@ -56,7 +56,6 @@ __all__ = [
     "Codim2Point",
     "ParameterPlaneCurve",
     "codim2_locus",
-    "characteristic_coefficients",
     "taylor_coefficients",
     "reduce_pendulum",
     "reduced_forcing_amplitude",
@@ -162,25 +161,6 @@ def codim2_locus(p: PendulumParams) -> Codim2Point:
         gamma0=gamma0,
         alpha1=p.alpha - alpha0,
         gamma1=p.gamma - gamma0,
-    )
-
-
-def characteristic_coefficients(
-    p: PendulumParams, alpha: float | None = None, gamma: float | None = None
-) -> tuple[float, float, float]:
-    """Coefficients ``(c2, c1, c0)`` of the symmetric equilibrium's
-    characteristic polynomial ``lam**3 + c2*lam**2 + c1*lam + c0``.
-
-    Evaluated at the equilibrium ``(theta0, 0, 0)`` of the unforced system,
-    optionally overriding the gains.
-    """
-    a = p.alpha if alpha is None else float(alpha)
-    g = p.gamma if gamma is None else float(gamma)
-    sigma = p.sigma
-    return (
-        a + p.delta0,
-        a * p.delta0 + p.delta1 + sigma,
-        sigma * a + g,
     )
 
 

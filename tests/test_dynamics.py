@@ -1,6 +1,7 @@
 """Trajectories, strobe maps and Newton shooting on a forced linear oscillator
 with a closed-form solution, and shooting on a multiple-shooting saddle;
-monodromy, fold detection, the batched flow contract, ensemble shooting legs,
+the variational transition matrix (``_transition``) against central
+differences, fold detection, the batched flow contract, ensemble shooting legs,
 fused backtracking trials, chains and manifold tracing against per-leg and
 per-chain ``solve_ivp``, the step budgets of both integrators, and the
 steps that ensemble members remember from one integration to the next."""
@@ -29,12 +30,12 @@ from doublezero.dynamics import (
     _ensemble_dop853,
     _integrate_legs,
     _shooting_trial,
+    _transition,
     detect_saddle_node,
     divergence_integral,
     find_subharmonic,
     integrate,
     liouville_defect,
-    monodromy,
     pendulum_flow,
     poincare_map,
     scaled_flow,
@@ -140,7 +141,7 @@ def test_shooting_refuses_a_bad_tolerance_or_iteration_count_before_integrating(
 def test_single_shooting_returns_the_full_period_monodromy() -> None:
     flow = oscillator()
     res = find_subharmonic(flow, 1, (0.5, -0.2))
-    xf, mono = monodromy(flow, res.initial_state, 1)
+    xf, mono = _transition(flow, res.initial_state, 0.0, flow.period)
     assert np.array_equal(res.monodromy, mono)
     assert res.residual == float(np.max(np.abs(xf - res.initial_state)))
 
@@ -178,7 +179,7 @@ def test_leg_product_monodromy_matches_a_full_period_integration(offset: float) 
     res = find_subharmonic(flow, 1, (1.0, 0.0), tol=tol, segments=8)
     assert res.classification is OrbitClass.SADDLE
     assert res.residual < tol
-    _, mono = monodromy(flow, res.initial_state, 1)
+    _, mono = _transition(flow, res.initial_state, 0.0, flow.period)
     scale = np.max(np.abs(mono))
     assert np.max(np.abs(res.monodromy - mono)) < 1e-8 * scale
     fresh = np.sort_complex(np.linalg.eigvals(mono))
@@ -727,7 +728,7 @@ def test_a_trial_box_reads_the_state_rows_only() -> None:
 def test_monodromy_matches_central_differences(build) -> None:
     flow = build()
     state = np.array([0.4, -0.2, 0.3][:flow.dim])
-    end, mono = monodromy(flow, state, 1)
+    end, mono = _transition(flow, state, 0.0, flow.period)
     assert np.max(np.abs(end - integrate(flow, state, 0.0, flow.period))) < 1e-10
     step = 1e-5
     columns = []

@@ -15,8 +15,6 @@ from doublezero.elliptic import (
     complete_E,
     complete_K,
     complete_K_complement,
-    dE_dk,
-    dK_dk,
     jacobi_sn_cn_dn,
 )
 from doublezero.errors import DomainError
@@ -105,15 +103,6 @@ def test_legendre_relation() -> None:
             - complete_K(k) * complete_K(kp)
         )
         assert total == pytest.approx(math.pi / 2.0, abs=1e-10)
-
-
-def test_derivatives_match_finite_differences() -> None:
-    h = 1e-6
-    for k in (0.2, 0.5, 0.8):
-        fd_K = (complete_K(k + h) - complete_K(k - h)) / (2.0 * h)
-        fd_E = (complete_E(k + h) - complete_E(k - h)) / (2.0 * h)
-        assert dK_dk(k) == pytest.approx(fd_K, rel=1e-8)
-        assert dE_dk(k) == pytest.approx(fd_E, rel=1e-8)
 
 
 def test_limits_at_zero_modulus() -> None:

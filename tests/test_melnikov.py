@@ -494,3 +494,47 @@ def test_profile_container_validation() -> None:
         MelnikovProfile(values=TrigPolynomial({0: 0.3, 1: 1.0}, {}), hmax=1.3, hmin=-0.7)
     zero = MelnikovProfile.from_trig(TrigPolynomial({1: 5e-15}, {}), zero_tol=1e-12)
     assert zero.is_zero and zero.hmax == 0.0 and zero.hmin == 0.0
+
+
+def _window_edges(s2: int, j1: float, j2: float, profile: MelnikovProfile) -> np.ndarray:
+    """Ends of the nu_hat interval on which ``nu_hat*j1 + s2*j2 + h(phi)``
+    vanishes at some phi."""
+    return -(s2 * j2 + np.array([profile.hmax, profile.hmin])) / j1
+
+
+@pytest.mark.parametrize("tag, bound, s2, ms, max_z1_sq, level_gap", [
+    # INSIDE_HET orbits sit below the saddle level H = 1/4 by
+    # 1/4 - k**2/(1 + k**2)**2 = (1 - k**2)**2 / (4 (1 + k**2)**2).
+    (FamilyTag.INSIDE_HET, FamilyTag.HET_PAIR, 1, (3, 5, 7, 9), 1.0,
+     lambda kp2: kp2**2 / (4.0 * (2.0 - kp2) ** 2)),
+    # INSIDE_HOM orbits sit below the saddle level H = 0 by (1 - k**2)/(2 - k**2)**2.
+    (FamilyTag.INSIDE_HOM, FamilyTag.HOM_PAIR, -1, (1, 2, 3), 2.0,
+     lambda kp2: kp2 / (1.0 + kp2) ** 2),
+], ids=["inside-het", "inside-hom"])
+def test_subharmonic_windows_approach_the_separatrix_window(
+    tag, bound, s2, ms, max_z1_sq, level_gap
+) -> None:
+    """As m grows, the m:1 orbits at omega_hat 1.4 approach the bounding
+    separatrix, and their saddle-node window in nu_hat tends to its
+    splitting window: two results of separate code (orbit integrals and
+    resonant projections against separatrix constants and weights).
+
+    To first order in the level gap dH to the separatrix, an edge ``e =
+    -(s2*J2 + h)/J1`` moves by at most ``(|dJ2| + |e|*|dJ1|)/J1``, with
+    ``|dJ1| = T*dH`` (``dJ1/dH`` is the period T, J1 being 2*pi times the
+    action) and ``|dJ2| <= max(z1**2)*T*dH`` (``dJ2/dH`` is the period
+    integral of ``z1**2``); the projection h carries no period factor.  The
+    gap stays below that estimate at every m, and shrinks as m grows."""
+    forcing = cosine(1.0)
+    c1, c2 = separatrix_constants(bound)
+    limit = _window_edges(s2, c1, c2, h_hat(forcing, bound, 1.4))
+    gaps = []
+    for m in ms:
+        k = resonant_modulus(tag, m, 1, 1.4)
+        j = j_integrals(tag, k, 1)
+        edges = _window_edges(s2, j.j1, j.j2, h_hat_subharmonic(forcing, tag, k, m, 1, 1.4))
+        gaps.append(float(np.max(np.abs(edges - limit))))
+        slope = (max_z1_sq + np.max(np.abs(limit))) / j.j1
+        dh = level_gap((1.0 - k.k) * (1.0 + k.k))
+        assert gaps[-1] < slope * period(tag, k) * dh, (m, gaps[-1])
+    assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps

@@ -1,8 +1,10 @@
-"""Closed-form orbit families: ODE residuals, energies, periods, resonances."""
+"""Closed-form orbit families: ODE residuals, energies and actions against
+local closed forms, periods, resonances."""
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,21 +19,40 @@ from doublezero.orbits import (
     SEPARATRIX_TAGS,
     FamilyKind,
     FamilyTag,
-    action,
     cubic_coefficients,
-    energy,
     evaluate,
-    freq_action_derivative_sign,
-    hamiltonian,
     modulus_range,
     period,
-    period_derivative,
     resonant_modulus,
-    saddle_points,
     unperturbed_rhs,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _hamiltonian(family: FamilyTag, zeta1: float, zeta2: float) -> float:
+    """Energy ``H = zeta2**2/2 - a*zeta1**2/2 - b*zeta1**4/4`` of the host system."""
+    a, b = cubic_coefficients(family)
+    return 0.5 * zeta2 * zeta2 - 0.5 * a * zeta1 * zeta1 - 0.25 * b * zeta1**4
+
+
+def _energy(tag: FamilyTag, k: float) -> float:
+    """Closed-form Hamiltonian level of the periodic orbit with modulus ``k``."""
+    k2 = k * k
+    if tag is FamilyTag.INSIDE_HET:
+        return k2 / (k2 + 1.0) ** 2
+    if tag is FamilyTag.GLOBAL:
+        return k2 * (1.0 - k2) / (1.0 - 2.0 * k2) ** 2
+    if tag is FamilyTag.INSIDE_HOM:
+        return (k2 - 1.0) / (2.0 - k2) ** 2
+    return k2 * (1.0 - k2) / (2.0 * k2 - 1.0) ** 2
+
+
+def _action(tag: FamilyTag, k: float) -> float:
+    """Action ``I = (1/2pi) * integral of zeta2**2 over one period``, by the
+    periodic trapezoid rule on 2048 samples (exponentially convergent here)."""
+    ts, step = np.linspace(0.0, period(tag, k), 2048, endpoint=False, retstep=True)
+    return float(np.sum(evaluate(tag, k, ts).zeta2 ** 2)) * step / (2.0 * math.pi)
 
 
 def _sample_moduli(tag: FamilyTag, count: int = 5) -> list[float]:
@@ -83,10 +104,10 @@ def test_separatrices_satisfy_the_host_ode(tag: FamilyTag) -> None:
 def test_energy_is_constant_and_matches_closed_form() -> None:
     for tag in sorted(PERIODIC_TAGS, key=lambda t: t.value):
         for k in _sample_moduli(tag, 4):
-            level = energy(tag, k)
+            level = _energy(tag, k)
             for t in np.linspace(0.0, period(tag, k), 11):
                 p = evaluate(tag, k, float(t))
-                assert hamiltonian(tag, p.zeta1, p.zeta2) == pytest.approx(
+                assert _hamiltonian(tag, p.zeta1, p.zeta2) == pytest.approx(
                     level, abs=1e-12
                 )
 
@@ -143,11 +164,11 @@ def test_separatrix_limits_reach_the_saddles() -> None:
     # Separatrices sit on the saddle energy level.
     for t in np.linspace(-4.0, 4.0, 9):
         p = evaluate(FamilyTag.HET_PAIR, None, float(t))
-        assert hamiltonian(FamilyTag.HET_PAIR, p.zeta1, p.zeta2) == pytest.approx(
+        assert _hamiltonian(FamilyTag.HET_PAIR, p.zeta1, p.zeta2) == pytest.approx(
             0.25, abs=1e-12
         )
         q = evaluate(FamilyTag.HOM_PAIR, None, float(t))
-        assert hamiltonian(FamilyTag.HOM_PAIR, q.zeta1, q.zeta2) == pytest.approx(
+        assert _hamiltonian(FamilyTag.HOM_PAIR, q.zeta1, q.zeta2) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -187,41 +208,14 @@ def test_branch_sign_validation() -> None:
         FamilyKind(FamilyTag.HET_PAIR, 2)
 
 
-def test_saddle_points() -> None:
-    het = saddle_points(FamilyTag.HET_PAIR)
-    assert sorted((p.zeta1, p.zeta2) for p in het) == [(-1.0, 0.0), (1.0, 0.0)]
-    hom = saddle_points(FamilyTag.HOM_PAIR)
-    assert [(p.zeta1, p.zeta2) for p in hom] == [(0.0, 0.0)]
-    assert saddle_points(FamilyTag.GLOBAL) == ()
-
-
-def test_period_derivative_matches_finite_differences() -> None:
-    h = 1e-6
-    for tag in sorted(PERIODIC_TAGS, key=lambda t: t.value):
-        for k in _sample_moduli(tag, 3):
-            fd = (period(tag, k + h) - period(tag, k - h)) / (2.0 * h)
-            assert period_derivative(tag, k) == pytest.approx(fd, rel=1e-6, abs=5e-9)
-
-
-def test_frequency_action_derivative_sign_matches_finite_differences() -> None:
-    h = 1e-4
-    for tag in sorted(PERIODIC_TAGS, key=lambda t: t.value):
-        lo, hi = modulus_range(tag)
-        k = lo + 0.5 * (hi - lo)
-        d_omega = 2.0 * math.pi * (1.0 / period(tag, k + h) - 1.0 / period(tag, k - h))
-        d_action = action(tag, k + h) - action(tag, k - h)
-        measured = math.copysign(1.0, d_omega / d_action)
-        assert measured == freq_action_derivative_sign(tag)
-
-
 def test_action_energy_frequency_relation() -> None:
     # dH/dI equals the orbit frequency along each periodic family.
     h = 1e-5
     for tag in sorted(PERIODIC_TAGS, key=lambda t: t.value):
         lo, hi = modulus_range(tag)
         k = lo + 0.6 * (hi - lo)
-        d_energy = energy(tag, k + h) - energy(tag, k - h)
-        d_action = action(tag, k + h) - action(tag, k - h)
+        d_energy = _energy(tag, k + h) - _energy(tag, k - h)
+        d_action = _action(tag, k + h) - _action(tag, k - h)
         omega = 2.0 * math.pi / period(tag, k)
         assert d_energy / d_action == pytest.approx(omega, rel=1e-5)
 
@@ -234,7 +228,7 @@ def test_action_matches_the_closed_form_orbit_integral(tag: FamilyTag) -> None:
     pad = 0.01 * (hi - lo)
     for k in np.linspace(lo + pad, hi - pad, 24):
         closed = j_integrals(tag, float(k), 1).j1 / (2.0 * math.pi)
-        assert action(tag, float(k)) == pytest.approx(closed, rel=1e-12, abs=0.0)
+        assert _action(tag, float(k)) == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 def test_rhs_is_the_hamiltonian_vector_field() -> None:
@@ -244,10 +238,10 @@ def test_rhs_is_the_hamiltonian_vector_field() -> None:
             z1, z2 = state
             f = unperturbed_rhs(tag, np.asarray(state))
             dh_dz1 = (
-                hamiltonian(tag, z1 + h, z2) - hamiltonian(tag, z1 - h, z2)
+                _hamiltonian(tag, z1 + h, z2) - _hamiltonian(tag, z1 - h, z2)
             ) / (2.0 * h)
             dh_dz2 = (
-                hamiltonian(tag, z1, z2 + h) - hamiltonian(tag, z1, z2 - h)
+                _hamiltonian(tag, z1, z2 + h) - _hamiltonian(tag, z1, z2 - h)
             ) / (2.0 * h)
             assert f[0] == pytest.approx(dh_dz2, abs=1e-9)
             assert f[1] == pytest.approx(-dh_dz1, abs=1e-9)
@@ -310,6 +304,31 @@ def test_resonance_error_conditions() -> None:
         resonant_modulus(FamilyTag.INSIDE_HET, 1, 1, 1.5)
     with pytest.raises(DomainError):
         resonant_modulus(FamilyTag.HET_PAIR, 1, 1, 0.8)
+
+
+@pytest.mark.parametrize("tag, m, kp2", [
+    (FamilyTag.INSIDE_HET, 11, "4.21e-07"),
+    (FamilyTag.INSIDE_HET, 13, "1.76e-08"),
+    (FamilyTag.INSIDE_HOM, 4, "2.56e-07"),
+    (FamilyTag.INSIDE_HOM, 5, "2.87e-09"),
+])
+def test_a_target_inside_the_range_that_a_float_modulus_cannot_resolve(
+    tag: FamilyTag, m: int, kp2: str
+) -> None:
+    # At omega_hat 1.4 these targets lie inside the attainable period range,
+    # but near k = 1 adjacent float moduli are farther apart in period than
+    # the resonance tolerance, so no float k meets it.
+    with pytest.raises(NoResonance) as info:
+        resonant_modulus(tag, m, 1, 1.4)
+    message = str(info.value)
+    target, lo, hi = map(float, re.match(
+        r"target period (\S+) lies inside the attainable range \[(\S+), (\S+)\]", message
+    ).groups())
+    assert lo < target < hi
+    assert f"1 - k**2 = {kp2} finer than a float modulus resolves" in message
+    step, tol = map(float, re.search(r"are (\S+) apart in n\*T, against a tolerance of (\S+)$",
+                                     message).groups())
+    assert step > tol
 
 
 def test_modulus_and_argument_validation() -> None:

@@ -8,7 +8,10 @@ as reference oracles only.  ``melnikov`` reads each orbit's Fourier
 coefficients in closed form, so it neither evaluates orbits nor takes an
 FFT; the sampled projection is an oracle of the tests too.  The
 ``verify`` experiments live in ``experiments``, which knows nothing of
-argument parsing, and ``cli`` defines none of them.
+argument parsing, and ``cli`` defines none of them.  Every function a
+module lists in its ``__all__`` has a consumer outside the tests: a call
+from its own module, or an import or attribute read in another module of
+the package or of the benchmark.
 """
 
 from __future__ import annotations
@@ -97,3 +100,80 @@ def test_experiments_stay_apart_from_the_command_line() -> None:
     root = Path(doublezero.__file__).parent
     trees = [ast.parse((root / name).read_text()) for name in ("experiments.py", "cli.py")]
     assert boundary_faults(*trees) == []
+
+
+def public_functions(tree: ast.Module) -> list[str]:
+    """Module-level functions that the module lists in its ``__all__``."""
+    listed: list[str] = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            listed = ast.literal_eval(node.value)
+    defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return [name for name in listed if name in defined]
+
+
+def imported_or_read(tree: ast.AST) -> set[str]:
+    """Names a module imports with ``from ... import`` or reads as attributes."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def own_uses(tree: ast.Module) -> set[str]:
+    """Names a module reads, each outside the body of the function it names."""
+    return {
+        node.id
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name)
+        and not (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and top.name == node.id)
+    }
+
+
+def unconsumed(package: dict[str, ast.Module], consumers: list[ast.AST]) -> list[str]:
+    """``module.function`` for each public function of a package module that
+    neither its own module nor any other module of ``package`` or
+    ``consumers`` uses."""
+    found = []
+    for name, tree in package.items():
+        used = own_uses(tree).union(
+            *(imported_or_read(t) for other, t in package.items() if other != name),
+            *(imported_or_read(t) for t in consumers),
+        )
+        found += [f"{name}.{f}" for f in public_functions(tree) if f not in used]
+    return found
+
+
+def test_the_consumer_rule_sees_imports_attributes_and_own_callers() -> None:
+    package = {
+        "a": ast.parse(
+            "__all__ = ['imported', 'read', 'called', 'recursive', 'unused', 'Kind']\n"
+            "def imported(): pass\ndef read(): pass\ndef called(): pass\n"
+            "def recursive(): return recursive()\ndef unused(): pass\n"
+            "def helper(): return called()\nclass Kind: pass\n"
+        ),
+        "b": ast.parse("from .a import imported\nfrom . import a\na.read()\n"),
+    }
+    assert unconsumed(package, []) == ["a.recursive", "a.unused"]
+    bench = ast.parse("from doublezero import recursive, unused\n")
+    assert unconsumed(package, [bench]) == []
+
+
+def test_every_public_function_has_a_consumer_outside_the_tests() -> None:
+    # The package's ``__init__`` only re-exports, so it consumes nothing;
+    # the benchmark's own tests do not count either.
+    package = {p.stem: ast.parse(p.read_text()) for p in MODULES if p.name != "__init__.py"}
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    bench = [
+        ast.parse(p.read_text())
+        for p in sorted(root.rglob("*.py"))
+        if "tests" not in p.relative_to(root).parts
+    ]
+    assert bench and {"dynamics", "experiments", "cli"} <= set(package)
+    assert unconsumed(package, bench) == []
