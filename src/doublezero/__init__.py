@@ -47,6 +47,7 @@ from .bifurcation import (
     classify_stability,
     heteroclinic_curves,
     homoclinic_curves,
+    predicted_curves,
     saddle_node_curves,
     unperturbed_diagram,
 )
@@ -81,7 +82,7 @@ from .errors import (
     ResonanceViolation,
     StepFailure,
 )
-from .fourier import TrigPolynomial, cosine, sine
+from .fourier import TrigPolynomial, cosine
 from .melnikov import (
     JIntegrals,
     MelnikovProfile,

@@ -14,6 +14,10 @@ extrema and orbit integrals) into those lines:
 * the stability verdict for the orbits born at those saddle-nodes,
 * and the unforced skeleton diagram (pitchfork, Hopf, saddle-connection,
   cycle-fold lines) for each sign combination of the cubic terms.
+
+`predicted_curves` is the one route from a forcing profile to a family's
+curves: it projects the forcing with :mod:`.melnikov` and hands the
+profile to the family's emitter.
 """
 
 from __future__ import annotations
@@ -23,8 +27,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateL, DomainError
-from .melnikov import JIntegrals, MelnikovProfile, separatrix_constants
-from .orbits import FamilyTag
+from .fourier import TrigPolynomial
+from .melnikov import (
+    JIntegrals,
+    MelnikovProfile,
+    h_hat,
+    h_hat_subharmonic,
+    j_integrals,
+    separatrix_constants,
+)
+from .orbits import FamilyTag, resonant_modulus
 
 __all__ = [
     "CurveKind",
@@ -39,6 +51,7 @@ __all__ = [
     "homoclinic_curves",
     "saddle_node_curves",
     "classify_stability",
+    "predicted_curves",
     "unperturbed_diagram",
 ]
 
@@ -146,14 +159,6 @@ def family_half_plane(tag: FamilyTag) -> int:
     raise DomainError(f"family {tag.value!r} has no subharmonic half-plane")
 
 
-def _require_separatrix_profile(hhat: MelnikovProfile, tag: FamilyTag) -> None:
-    if hhat.family is not None and hhat.family.tag is not tag:
-        raise DomainError(
-            f"projected profile was built for {hhat.family.tag.value!r}, "
-            f"expected {tag.value!r}"
-        )
-
-
 def heteroclinic_curves(
     s2: int, delta_big: float, hhat: MelnikovProfile
 ) -> list[BifurcationCurve]:
@@ -167,7 +172,7 @@ def heteroclinic_curves(
     """
     s2 = _check_sign(s2, "s2")
     delta_big = float(delta_big)
-    _require_separatrix_profile(hhat, FamilyTag.HET_PAIR)
+    hhat.check_family(FamilyTag.HET_PAIR)
     c1, c2 = separatrix_constants(FamilyTag.HET_PAIR)
     base = s2 * c2 / c1  # = s2/5
     coincident = hhat.hmax == hhat.hmin
@@ -198,7 +203,7 @@ def homoclinic_curves(
     """
     s2 = _check_sign(s2, "s2")
     delta_big = float(delta_big)
-    _require_separatrix_profile(hhat, FamilyTag.HOM_PAIR)
+    hhat.check_family(FamilyTag.HOM_PAIR)
     c1, c2 = separatrix_constants(FamilyTag.HOM_PAIR)
     base = -s2 * c2 / c1  # = -(4/5) s2
     coincident = hhat.hmax == hhat.hmin
@@ -215,27 +220,6 @@ def homoclinic_curves(
                 )
             )
     return curves
-
-
-def _check_subharmonic_consistency(
-    m: int, hhatmn: MelnikovProfile, j: JIntegrals
-) -> None:
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    if hhatmn.family is not None and hhatmn.family.tag is not j.family.tag:
-        raise DomainError(
-            f"projected profile family {hhatmn.family.tag.value!r} does not "
-            f"match orbit-integral family {j.family.tag.value!r}"
-        )
-    if hhatmn.m is not None and hhatmn.m != m:
-        raise DomainError(f"profile was projected with m={hhatmn.m}, got m={m}")
-    if hhatmn.n is not None and hhatmn.n != j.n:
-        raise DomainError(f"profile n={hhatmn.n} does not match integrals n={j.n}")
-    if hhatmn.k is not None and abs(float(hhatmn.k) - float(j.k)) > 1e-12:
-        raise DomainError(
-            f"profile modulus {float(hhatmn.k)!r} does not match integrals "
-            f"modulus {float(j.k)!r}"
-        )
 
 
 def saddle_node_curves(
@@ -256,7 +240,9 @@ def saddle_node_curves(
     """
     s2 = _check_sign(s2, "s2")
     delta_big = float(delta_big)
-    _check_subharmonic_consistency(m, hhatmn, j)
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    hhatmn.check_orbit(j, m)
     tag = j.family.tag
     plane = family_half_plane(tag)
     j1, j2 = j.j1, j.j2
@@ -307,6 +293,35 @@ def saddle_node_curves(
                 )
             )
     return curves
+
+
+def predicted_curves(
+    forcing: TrigPolynomial,
+    family: FamilyTag,
+    m: int,
+    n: int,
+    omega_hat: float,
+    s2: int,
+    delta_big: float,
+) -> tuple[list[BifurcationCurve], MelnikovProfile]:
+    """Predicted curves of one orbit family, with the projected profile.
+
+    The separatrix pairs project ``forcing`` with `h_hat` and emit their
+    persistence lines; ``m`` and ``n`` are ignored for them.  The periodic
+    families solve the ``m:n`` resonance for the modulus (read back as
+    ``profile.k``), integrate the orbit, project with `h_hat_subharmonic`
+    and emit the saddle-node lines.
+    """
+    if family is FamilyTag.HET_PAIR:
+        profile = h_hat(forcing, family, omega_hat)
+        return heteroclinic_curves(s2, delta_big, profile), profile
+    if family is FamilyTag.HOM_PAIR:
+        profile = h_hat(forcing, family, omega_hat)
+        return homoclinic_curves(s2, delta_big, profile), profile
+    k = resonant_modulus(family, m, n, omega_hat)
+    j = j_integrals(family, k, n)
+    profile = h_hat_subharmonic(forcing, family, k, m, n, omega_hat)
+    return saddle_node_curves(s2, delta_big, m, profile, j), profile
 
 
 def classify_stability(

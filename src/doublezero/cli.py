@@ -45,12 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bifurcation import (
-    heteroclinic_curves,
-    homoclinic_curves,
-    saddle_node_curves,
-    unperturbed_diagram,
-)
+from .bifurcation import predicted_curves, unperturbed_diagram
 from .dynamics import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
@@ -78,9 +73,8 @@ from .errors import (
 )
 from .experiments import EXPERIMENTS
 from .fourier import TrigPolynomial, cosine
-from .melnikov import h_hat, h_hat_subharmonic, j_integrals
 from .normalform import reduce as reduce_normal_form
-from .orbits import FamilyTag, resonant_modulus
+from .orbits import FamilyTag
 from .pendulum import (
     FAMILY_THETA0,
     PendulumParams,
@@ -383,18 +377,11 @@ def _scaled_plane_records(ns: argparse.Namespace, tag: FamilyTag) -> tuple[list[
         "mode": "scaled", "family": tag.value, "s2": ns.s2, "delta": ns.delta,
         "omega_hat": ns.omega_hat, "amplitude": ns.amplitude, "harmonic": ns.harmonic,
     }
-    if tag is FamilyTag.HET_PAIR:
-        profile = h_hat(forcing, tag, ns.omega_hat)
-        curves = heteroclinic_curves(ns.s2, ns.delta, profile)
-    elif tag is FamilyTag.HOM_PAIR:
-        profile = h_hat(forcing, tag, ns.omega_hat)
-        curves = homoclinic_curves(ns.s2, ns.delta, profile)
-    else:
-        k = resonant_modulus(tag, ns.m, ns.n, ns.omega_hat)
-        j = j_integrals(tag, k, ns.n)
-        profile = h_hat_subharmonic(forcing, tag, k, ns.m, ns.n, ns.omega_hat)
-        curves = saddle_node_curves(ns.s2, ns.delta, ns.m, profile, j)
-        params.update({"m": ns.m, "n": ns.n, "modulus": float(k)})
+    curves, profile = predicted_curves(
+        forcing, tag, ns.m, ns.n, ns.omega_hat, ns.s2, ns.delta
+    )
+    if profile.k is not None:
+        params.update({"m": ns.m, "n": ns.n, "modulus": profile.k})
     records = []
     for curve in curves:
         rec = curve.as_record()

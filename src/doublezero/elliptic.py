@@ -50,21 +50,18 @@ K_MODULUS_CUTOFF = 1.0 - 1e-12
 
 @dataclass(frozen=True)
 class EllipticModulus:
-    """Validated elliptic modulus ``k`` with its complement ``kprime``.
+    """Validated elliptic modulus ``k``.
 
-    Construction rejects values outside ``[0, 1)``.  ``kprime`` is derived so
-    that ``k**2 + kprime**2 == 1`` to machine precision.
+    Construction rejects values outside ``[0, 1)``.
     """
 
     k: float
-    kprime: float = 0.0
 
     def __init__(self, k: float) -> None:
         k = float(k)
         if not (0.0 <= k < 1.0):
             raise DomainError(f"elliptic modulus must lie in [0, 1), got {k!r}")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "kprime", math.sqrt(1.0 - k * k))
 
     def __float__(self) -> float:
         return self.k

@@ -31,8 +31,9 @@ class DomainError(DoubleZeroError, ValueError):
 
 
 class DegeneracyError(DoubleZeroError):
-    """A required non-degeneracy condition fails (zero coefficient,
-    singular change of coordinates, vanishing derivative at a fold)."""
+    """A required non-degeneracy condition fails: a vanishing cubic
+    combination of the normal form, a double-zero gain point that is not
+    physical, or a singular gain-to-reduced-parameter map."""
 
 
 class NoResonance(DoubleZeroError):
@@ -66,8 +67,8 @@ class NewtonDivergence(DoubleZeroError):
 
 
 class NoFoldInBracket(DoubleZeroError):
-    """A fold (saddle-node) search bracket contains no sign change of the
-    fold indicator."""
+    """A fold (saddle-node) search reached the end of its parameter range
+    with the tracked orbit still found."""
 
 
 class NotASaddle(DoubleZeroError):

@@ -28,6 +28,7 @@ from .dynamics import (
     scaled_flow_from,
     trace_manifolds,
 )
+from .elliptic import complete_K
 from .errors import DomainError, NewtonDivergence, ParityError, StepFailure
 from .fourier import TrigPolynomial, cosine
 from .melnikov import (
@@ -49,7 +50,7 @@ from .orbits import (
     resonant_modulus,
     unperturbed_rhs,
 )
-from .pendulum import _half_period_ratio, calibrated_params, example_theta_zero, reduce_pendulum
+from .pendulum import calibrated_params, example_theta_zero, reduce_pendulum
 
 def _check(name: str, measured: float, limit: float, passed: bool | None = None) -> dict:
     if passed is None:
@@ -114,6 +115,12 @@ def experiment_jintegrals(*, grid: int = 20, rtol: float = 1e-9) -> dict:
         worst = max(abs(c1 - q1) / abs(q1), abs(c2 - q2) / abs(q2))
         checks.append(_check(f"{tag.value} splitting constants vs quadrature", worst, rtol))
     return _report("jintegrals", {"grid": grid, "rtol": rtol}, checks)
+
+
+def _half_period_ratio(k: float) -> float:
+    """pi * K(k') / K(k) for the resonant modulus."""
+    kprime = math.sqrt((1.0 - k) * (1.0 + k))
+    return math.pi * complete_K(kprime) / complete_K(k)
 
 
 def _closed_subharmonic_amplitude(tag: FamilyTag, k: float, m: int, omega_hat: float) -> float:

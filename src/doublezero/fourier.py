@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["TrigPolynomial", "cosine", "sine"]
+__all__ = ["TrigPolynomial", "cosine"]
 
 #: Least number of grid points per period in ``TrigPolynomial.extrema``.
 _EXTREMA_SAMPLES = 4096
@@ -287,8 +287,3 @@ class TrigPolynomial:
 def cosine(amplitude: float, harmonic: int = 1) -> TrigPolynomial:
     """The profile ``amplitude * cos(harmonic * phi)``."""
     return TrigPolynomial({harmonic: amplitude}, {})
-
-
-def sine(amplitude: float, harmonic: int = 1) -> TrigPolynomial:
-    """The profile ``amplitude * sin(harmonic * phi)``."""
-    return TrigPolynomial({}, {harmonic: amplitude})

@@ -74,9 +74,9 @@ class MelnikovProfile:
     hmax, hmin
         Certified maximum and minimum over one period; a nonzero profile
         has ``hmax > 0 > hmin`` because its mean vanishes.
-    family, k, m, n, omega_hat
-        Optional provenance of the projection, used to cross-check
-        consistency between profiles and orbit integrals downstream.
+    family, k, m, n
+        Optional provenance of the projection, checked against the orbit
+        data downstream by `check_family` and `check_orbit`.
     """
 
     values: TrigPolynomial
@@ -86,7 +86,6 @@ class MelnikovProfile:
     k: float | None = None
     m: int | None = None
     n: int | None = None
-    omega_hat: float | None = None
 
     def __post_init__(self) -> None:
         if abs(self.values.mean) > MEAN_ZERO_TOL:
@@ -103,23 +102,18 @@ class MelnikovProfile:
         cls,
         poly: TrigPolynomial,
         *,
-        zero_tol: float = 0.0,
         family: FamilyKind | None = None,
         k: float | None = None,
         m: int | None = None,
         n: int | None = None,
-        omega_hat: float | None = None,
     ) -> "MelnikovProfile":
-        """Build a profile, collapsing numerically-zero polynomials to exact zero."""
-        if poly.is_zero(zero_tol):
+        """Build a profile, collapsing an all-zero polynomial to the empty one."""
+        if poly.is_zero():
             poly = TrigPolynomial()
             hmax = hmin = 0.0
         else:
             hmax, hmin = poly.extrema()
-        return cls(
-            values=poly, hmax=hmax, hmin=hmin,
-            family=family, k=k, m=m, n=n, omega_hat=omega_hat,
-        )
+        return cls(values=poly, hmax=hmax, hmin=hmin, family=family, k=k, m=m, n=n)
 
     @property
     def is_zero(self) -> bool:
@@ -127,6 +121,36 @@ class MelnikovProfile:
 
     def __call__(self, phi):
         return self.values(phi)
+
+    def check_family(self, tag: FamilyTag) -> None:
+        """Raise `DomainError` if the profile was projected on another family.
+
+        Families are compared by tag, so either branch of a paired family
+        passes: the branches' orbit data are equal.
+        """
+        if self.family is not None and self.family.tag is not tag:
+            raise DomainError(
+                f"profile was projected on {self.family.tag.value!r}, "
+                f"expected {tag.value!r}"
+            )
+
+    def check_orbit(self, j: JIntegrals, m: int) -> None:
+        """Raise `DomainError` if the profile's provenance contradicts the
+        orbit integrals ``j`` or the subharmonic order ``m``.
+
+        Each recorded field is checked on its own, the family by tag as in
+        `check_family`.
+        """
+        self.check_family(j.family.tag)
+        if self.m is not None and self.m != m:
+            raise DomainError(f"profile was projected with m={self.m}, got m={m}")
+        if self.n is not None and self.n != j.n:
+            raise DomainError(f"profile n={self.n} does not match integrals n={j.n}")
+        if self.k is not None and abs(float(self.k) - float(j.k)) > 1e-12:
+            raise DomainError(
+                f"profile modulus {float(self.k)!r} does not match integrals "
+                f"modulus {float(j.k)!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -230,7 +254,7 @@ def h_hat(
         weight, unit = fourier_weight_hom, -1j * s
     transfer = np.array([0.0] + [weight(j * omega_hat) for j in range(1, c.size)])
     poly = TrigPolynomial._of(c * (unit * transfer))
-    return MelnikovProfile.from_trig(poly, family=fam, omega_hat=float(omega_hat))
+    return MelnikovProfile.from_trig(poly, family=fam)
 
 
 def h_hat_subharmonic(
@@ -293,9 +317,7 @@ def h_hat_subharmonic(
     out[n::n] = m_t_hat * (c[n::n] * np.conj(orbit[m::m]))
     parts = out.view(float)
     parts[np.abs(parts) <= drop_tol] = 0.0
-    return MelnikovProfile.from_trig(
-        TrigPolynomial._of(out), family=fam, k=kv, m=m, n=n, omega_hat=float(omega_hat)
-    )
+    return MelnikovProfile.from_trig(TrigPolynomial._of(out), family=fam, k=kv, m=m, n=n)
 
 
 #: Switch to series evaluation of the E/K brackets below this ``m = k**2``.
@@ -449,11 +471,7 @@ def melnikov_separatrix(
     c1, c2 = separatrix_constants(fam)
     if s2 not in (-1, 1):
         raise DomainError(f"s2 must be +1 or -1, got {s2!r}")
-    if hhat.family is not None and hhat.family.tag is not fam.tag:
-        raise DomainError(
-            f"profile was projected on {hhat.family.tag.value!r}, "
-            f"but curves requested for {fam.tag.value!r}"
-        )
+    hhat.check_family(fam.tag)
     offset = TrigPolynomial(cos_terms=((0, c1 * nu_hat + c2 * s2),))
     m_plus = offset + hhat.values.scaled(delta_big)
     m_minus = offset + hhat.values.scaled(-delta_big)
@@ -482,20 +500,7 @@ def melnikov_subharmonic(
         raise DomainError(f"m must be a positive integer, got {m!r}")
     if not (t_hat > 0.0):
         raise DomainError(f"t_hat must be positive, got {t_hat!r}")
-    if hhatmn.family is not None:
-        if hhatmn.family != j.family:
-            raise DomainError(
-                f"profile family {hhatmn.family!r} does not match "
-                f"integral family {j.family!r}"
-            )
-        if hhatmn.k is not None and abs(hhatmn.k - j.k.k) > 1e-12:
-            raise DomainError(
-                f"profile modulus {hhatmn.k!r} does not match integral modulus {j.k.k!r}"
-            )
-        if hhatmn.n is not None and hhatmn.n != j.n:
-            raise DomainError(f"profile n={hhatmn.n!r} does not match integral n={j.n!r}")
-        if hhatmn.m is not None and hhatmn.m != m:
-            raise DomainError(f"profile m={hhatmn.m!r} does not match m={m!r}")
+    hhatmn.check_orbit(j, m)
 
     offset = TrigPolynomial(cos_terms=((0, nu_hat * j.j1 + s2 * j.j2),))
     m_profile = offset + hhatmn.values.scaled(delta_big)

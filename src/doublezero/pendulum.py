@@ -17,10 +17,12 @@ form of :mod:`.normalform` (closed-form coefficient tables, no numerical
 differentiation), and emits the predicted bifurcation curves pulled back
 from the reduced parameter plane to the ``(alpha, gamma)`` plane.
 
-The subharmonic curve emitters evaluate the source text's printed amplitude
-displays verbatim; for the two loop families those displays carry an extra
-factor ``m`` relative to the general projection formula, and this module
-reproduces them as printed (the general route lives in :mod:`.melnikov`).
+The gain-plane curves are the reduced-plane curves of
+:func:`.bifurcation.predicted_curves` for the reduced forcing, pulled back
+through the inverse of the gain-to-reduced-parameter map.  The source
+text's printed amplitude displays for the two loop families carry a factor
+``m`` that the general projection does not, and the curves keep it: those
+families project ``m`` times the reduced forcing.
 """
 
 from __future__ import annotations
@@ -31,24 +33,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bifurcation import (
-    BifurcationCurve,
-    CurveKind,
-    heteroclinic_curves,
-    homoclinic_curves,
-    saddle_node_curves,
-)
-from .elliptic import complete_K
+from .bifurcation import BifurcationCurve, CurveKind, predicted_curves
 from .errors import DegeneracyError, DomainError, ParityError
-from .fourier import TrigPolynomial, cosine, sine
-from .melnikov import MelnikovProfile, j_integrals
+from .fourier import TrigPolynomial, cosine
 from .normalform import (
     NormalFormParams,
     ScaledParams,
     SymmetricSystemCoeffs,
     scale,
 )
-from .orbits import FamilyKind, FamilyTag, resonant_modulus
+from .orbits import FamilyTag
 
 __all__ = [
     "Theta0",
@@ -59,7 +53,6 @@ __all__ = [
     "taylor_coefficients",
     "reduce_pendulum",
     "reduced_forcing_amplitude",
-    "projected_amplitude",
     "prediction_curves",
     "vector_field",
     "vector_field_jacobian",
@@ -68,8 +61,6 @@ __all__ = [
     "example_theta_pi",
     "FAMILY_THETA0",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class Theta0(enum.Enum):
@@ -326,62 +317,17 @@ FAMILY_THETA0: dict[FamilyTag, Theta0] = {
     FamilyTag.OUTSIDE_HOM: Theta0.PI,
 }
 
-#: Families whose printed subharmonic amplitude requires odd m.
+#: Families whose m:1 projection of the first-harmonic forcing vanishes for
+#: even m (their orbit velocities have odd harmonics only).  The rule is
+#: stated here rather than read off a zero profile: an allowed m can also
+#: project to an exact zero once the projection drops its rounding-level parts.
 _ODD_M_FAMILIES = frozenset(
     {FamilyTag.INSIDE_HET, FamilyTag.GLOBAL, FamilyTag.OUTSIDE_HOM}
 )
 
-
-def _half_period_ratio(k) -> float:
-    """pi * K(k') / K(k) for the resonant modulus."""
-    kv = float(k)
-    kprime = math.sqrt((1.0 - kv) * (1.0 + kv))
-    return math.pi * complete_K(kprime) / complete_K(kv)
-
-
-def projected_amplitude(
-    p: PendulumParams, family: FamilyTag, m: int, omega_hat: float
-) -> tuple[float, object]:
-    """Signed amplitude of the projected forcing for one orbit family.
-
-    Returns ``(amplitude, k)`` where ``k`` is the resonant modulus (``None``
-    for the two separatrix families) and ``amplitude`` multiplies ``cos(phi)``
-    for the saddle-to-saddle families and ``sin(phi)`` for the loop-side
-    families.  Subharmonic amplitudes follow the source text's printed
-    displays (including their factor ``m`` for the two loop families).
-    """
-    omega_hat = float(omega_hat)
-    if not (omega_hat > 0.0):
-        raise DomainError(f"omega_hat must be positive, got {omega_hat!r}")
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    a = reduced_forcing_amplitude(p)
-    if family is FamilyTag.HET_PAIR:
-        x = _SQRT2 * math.pi * omega_hat / 2.0
-        return (_SQRT2 * math.pi * omega_hat * a / math.sinh(x), None)
-    if family is FamilyTag.HOM_PAIR:
-        return (
-            _SQRT2 * math.pi * omega_hat * a / math.cosh(math.pi * omega_hat / 2.0),
-            None,
-        )
-    if family in _ODD_M_FAMILIES and m % 2 == 0:
-        raise ParityError(
-            f"family {family.value!r} has a nonzero projection only for odd m, got m={m}"
-        )
-    k = resonant_modulus(family, m, 1, omega_hat)
-    ratio = _half_period_ratio(k)
-    if family is FamilyTag.INSIDE_HET:
-        return (2.0 * _SQRT2 * math.pi * omega_hat * a / math.sinh(m * ratio / 2.0), k)
-    if family is FamilyTag.GLOBAL:
-        return (2.0 * _SQRT2 * math.pi * omega_hat * a / math.cosh(m * ratio / 2.0), k)
-    if family is FamilyTag.INSIDE_HOM:
-        return (m * _SQRT2 * math.pi * omega_hat * a / math.cosh(m * ratio), k)
-    if family is FamilyTag.OUTSIDE_HOM:
-        return (
-            2.0 * m * _SQRT2 * math.pi * omega_hat * a / math.cosh(m * ratio / 2.0),
-            k,
-        )
-    raise DomainError(f"unknown family {family!r}")
+#: Families whose printed subharmonic displays carry a factor m that the
+#: general projection does not; their curves project m times the forcing.
+_PRINTED_M_FAMILIES = frozenset({FamilyTag.INSIDE_HOM, FamilyTag.OUTSIDE_HOM})
 
 
 @dataclass(frozen=True)
@@ -486,18 +432,23 @@ def prediction_curves(
 ) -> list[ParameterPlaneCurve]:
     """Predicted bifurcation curves of one orbit family in the gain plane.
 
+    The curves are those of :func:`.bifurcation.predicted_curves` for the
+    reduced forcing ``cosine(reduced_forcing_amplitude(p))`` at ``m:1``
+    resonance and ``s2 = cos(theta0)``, pulled back to the gain plane; for
+    the two loop families the forcing carries the printed factor ``m``.
     ``p`` supplies the configuration (``theta0`` must match the family's
-    half of the analysis) and the physical constants entering the forcing
-    amplitude; ``m`` is the subharmonic order (ignored for the two
-    separatrix families, odd-only where the projection vanishes for even
-    ``m``); ``delta_big`` is the scaled forcing ratio.  Each emitted curve
-    is a ray through the double-zero point sampled out to ``extent`` in the
-    larger of the two gain offsets.
+    half of the analysis) and the physical constants of the forcing
+    amplitude; ``m`` is the subharmonic order (checked but otherwise
+    ignored for the two separatrix families, odd-only where the projection
+    vanishes for even ``m``); ``delta_big`` is the scaled forcing ratio.
+    Each emitted curve is a ray through the double-zero point sampled out
+    to ``extent`` in the larger of the two gain offsets.
 
     Raises
     ------
     DomainError
-        If ``theta0`` does not match the family.
+        If ``theta0`` does not match the family, ``omega_hat`` is not
+        positive or ``m`` is below 1.
     ParityError
         If ``m`` is even for a family whose projection then vanishes.
     """
@@ -507,27 +458,16 @@ def prediction_curves(
             f"family {family.value!r} belongs to theta0={required.value!r}, "
             f"got theta0={p.theta0.value!r}"
         )
-    s2 = p.sigma
-    amp, k = projected_amplitude(p, family, m, omega_hat)
-
-    if family is FamilyTag.HET_PAIR:
-        profile = MelnikovProfile.from_trig(
-            cosine(amp), family=FamilyKind(family), omega_hat=float(omega_hat)
+    omega_hat = float(omega_hat)
+    if not (omega_hat > 0.0):
+        raise DomainError(f"omega_hat must be positive, got {omega_hat!r}")
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    factor = m if family in _PRINTED_M_FAMILIES else 1
+    forcing = cosine(factor * reduced_forcing_amplitude(p))
+    if family in _ODD_M_FAMILIES and m % 2 == 0:
+        raise ParityError(
+            f"family {family.value!r} has a nonzero projection only for odd m, got m={m}"
         )
-        curves = heteroclinic_curves(s2, delta_big, profile)
-        return _pullback(p, curves, family.value, extent=extent, samples=samples)
-    if family is FamilyTag.HOM_PAIR:
-        profile = MelnikovProfile.from_trig(
-            sine(amp), family=FamilyKind(family), omega_hat=float(omega_hat)
-        )
-        curves = homoclinic_curves(s2, delta_big, profile)
-        return _pullback(p, curves, family.value, extent=extent, samples=samples)
-
-    trig = cosine(amp) if family is FamilyTag.INSIDE_HET else sine(amp)
-    profile = MelnikovProfile.from_trig(
-        trig, family=FamilyKind(family), k=float(k), m=m, n=1,
-        omega_hat=float(omega_hat),
-    )
-    j = j_integrals(family, k, 1)
-    curves = saddle_node_curves(s2, delta_big, m, profile, j)
+    curves, _ = predicted_curves(forcing, family, m, 1, omega_hat, p.sigma, delta_big)
     return _pullback(p, curves, family.value, extent=extent, samples=samples)

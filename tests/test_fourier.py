@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublezero.errors import DomainError
-from doublezero.fourier import TrigPolynomial, cosine, sine
+from doublezero.fourier import TrigPolynomial, cosine
 
 
 def test_evaluation_matches_direct_sum() -> None:
@@ -74,7 +74,7 @@ PHASES = np.concatenate(
 #: Every coefficient pattern of at most one harmonic: cos only, sin only,
 #: mixed, with and without a mean, constant and zero.
 ONE_HARMONIC = [
-    cosine(1.3), sine(-0.7), TrigPolynomial({0: 0.4, 1: -1.1}), TrigPolynomial({0: 0.4}, {1: 2.0}),
+    cosine(1.3), TrigPolynomial({}, {1: -0.7}), TrigPolynomial({0: 0.4, 1: -1.1}), TrigPolynomial({0: 0.4}, {1: 2.0}),
     TrigPolynomial({0: -0.2, 1: 0.9}, {1: -0.6}), TrigPolynomial({1: 0.5}, {1: 0.25}),
     TrigPolynomial({0: 2.5}), TrigPolynomial(),
 ]
@@ -211,7 +211,7 @@ def test_zero_terms_leave_no_trace() -> None:
     assert cosine(2.0).scaled(0.0) == TrigPolynomial()
     total = TrigPolynomial({1: 1.0, 5: 0.5}, {7: 0.25}) + TrigPolynomial({2: 1.0, 5: -0.5}, {7: -0.25})
     assert total.max_harmonic == 2 and total == TrigPolynomial({1: 1.0, 2: 1.0})
-    assert (sine(2.0, 3) + sine(-2.0, 3)).max_harmonic == 0
+    assert (TrigPolynomial({}, {3: 2.0}) + TrigPolynomial({}, {3: -2.0})).max_harmonic == 0
 
 
 def test_each_coefficient_keeps_its_own_part() -> None:
@@ -228,7 +228,7 @@ def test_zero_tests_read_each_coefficient_on_its_own() -> None:
 
 def test_algebra_scale_negate_add() -> None:
     a = cosine(2.0, 1)
-    b = sine(3.0, 2)
+    b = TrigPolynomial({}, {2: 3.0})
     combo = a + (-b).scaled(0.5)
     for phi in np.linspace(0.0, 2.0 * math.pi, 17):
         expected = 2.0 * math.cos(phi) - 1.5 * math.sin(2 * phi)
@@ -269,7 +269,7 @@ def test_extrema_certified_against_dense_sampling() -> None:
     "poly, expected",
     [
         (cosine(0.75), (0.75, -0.75)),
-        (sine(-1.25), (1.25, -1.25)),
+        (TrigPolynomial({}, {1: -1.25}), (1.25, -1.25)),
         (TrigPolynomial({0: 0.5, 1: 3.0}, {1: -4.0}), (5.5, -4.5)),
         (TrigPolynomial({0: -0.3}), (-0.3, -0.3)),
         (TrigPolynomial(), (0.0, 0.0)),

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from doublezero.bifurcation import saddle_node_curves
 from doublezero.elliptic import complete_K
 from doublezero.errors import DomainError, ResonanceViolation
-from doublezero.fourier import TrigPolynomial, cosine, sine
+from doublezero.fourier import TrigPolynomial, cosine
 from doublezero.melnikov import (
     _BRACKET_POLYS,
     _SERIES_M_CUT,
@@ -157,7 +158,7 @@ def test_loop_projection_swaps_cosine_and_sine() -> None:
     from_cos = h_hat(cosine(1.0), FamilyTag.HOM_PAIR, omega_hat)
     assert dict(from_cos.values.sin_terms)[1] == pytest.approx(u, rel=1e-13)
     assert from_cos.values.cos_terms == ()
-    from_sin = h_hat(sine(1.0), FamilyTag.HOM_PAIR, omega_hat)
+    from_sin = h_hat(TrigPolynomial({}, {1: 1.0}), FamilyTag.HOM_PAIR, omega_hat)
     assert dict(from_sin.values.cos_terms)[1] == pytest.approx(-u, rel=1e-13)
 
 
@@ -492,8 +493,48 @@ def test_profile_container_validation() -> None:
         MelnikovProfile(values=cosine(1.0), hmax=-0.5, hmin=-1.0)
     with pytest.raises(DomainError):
         MelnikovProfile(values=TrigPolynomial({0: 0.3, 1: 1.0}, {}), hmax=1.3, hmin=-0.7)
-    zero = MelnikovProfile.from_trig(TrigPolynomial({1: 5e-15}, {}), zero_tol=1e-12)
+    zero = MelnikovProfile.from_trig(TrigPolynomial({1: 0.0}, {2: -0.0}))
     assert zero.is_zero and zero.hmax == 0.0 and zero.hmin == 0.0
+    assert zero.values == TrigPolynomial()
+
+
+def _subharmonic_verdicts(prof: MelnikovProfile, j, m: int) -> tuple:
+    """What ``melnikov_subharmonic`` and ``saddle_node_curves`` make of one
+    profile with one set of orbit integrals: the result, or the error type."""
+    verdicts = []
+    for call in (
+        lambda: melnikov_subharmonic(-0.3, -1, 2.0, j, prof, m, 2.0 * math.pi / 0.8)[1],
+        lambda: [c.slope for c in saddle_node_curves(-1, 2.0, m, prof, j)],
+    ):
+        try:
+            verdicts.append(call())
+        except DomainError as exc:
+            verdicts.append(type(exc))
+    return tuple(verdicts)
+
+
+def test_both_consumers_share_one_profile_orbit_check() -> None:
+    """The inside-loop lobes have equal orbit integrals, so a profile of
+    either lobe goes with the integrals of either; every other mismatch of
+    family, modulus, n or m is refused by both consumers alike."""
+    omega_hat, tag = 0.8, FamilyTag.INSIDE_HOM
+    k = resonant_modulus(tag, 1, 1, omega_hat)
+    left = FamilyKind(tag, -1)
+    j_right, j_left = j_integrals(tag, k, 1), j_integrals(left, k, 1)
+    assert (j_left.j1, j_left.j2, j_left.j3) == (j_right.j1, j_right.j2, j_right.j3)
+    prof = h_hat_subharmonic(cosine(1.0), left, k, 1, 1, omega_hat)
+    assert _subharmonic_verdicts(prof, j_right, 1) == _subharmonic_verdicts(prof, j_left, 1)
+    assert DomainError not in _subharmonic_verdicts(prof, j_right, 1)
+
+    j_other = j_integrals(tag, resonant_modulus(tag, 1, 1, 0.9), 1)
+    j_two = j_integrals(tag, k, 2)
+    j_global = j_integrals(FamilyTag.GLOBAL, resonant_modulus(FamilyTag.GLOBAL, 1, 1, 1.3), 1)
+    bare_k = MelnikovProfile.from_trig(prof.values, k=float(k))
+    for profile, j, m in (
+        (prof, j_global, 1), (prof, j_other, 1), (bare_k, j_other, 1),
+        (prof, j_two, 1), (prof, j_right, 3),
+    ):
+        assert _subharmonic_verdicts(profile, j, m) == (DomainError, DomainError)
 
 
 def _window_edges(s2: int, j1: float, j2: float, profile: MelnikovProfile) -> np.ndarray:

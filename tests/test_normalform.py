@@ -7,7 +7,7 @@ import math
 import pytest
 
 from doublezero.errors import DegeneracyError, DomainError
-from doublezero.fourier import TrigPolynomial, cosine, sine
+from doublezero.fourier import TrigPolynomial, cosine
 from doublezero.normalform import (
     NormalFormParams,
     ScaledParams,
@@ -30,8 +30,8 @@ def _example_coeffs(**overrides) -> SymmetricSystemCoeffs:
         cubic2=(12.0, 4.0, 2.0, -1.0),
         coupling1=((5.0, 6.0), (7.0, 8.0)),
         coupling2=((1.0, 2.0), (3.0, 4.0)),
-        forcing1=sine(0.3),
-        forcing2=cosine(2.0) + sine(-0.5, 2),
+        forcing1=TrigPolynomial({}, {1: 0.3}),
+        forcing2=TrigPolynomial({1: 2.0}, {2: -0.5}),
     )
     data.update(overrides)
     return SymmetricSystemCoeffs(**data)

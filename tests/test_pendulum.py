@@ -7,12 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 
+from doublezero.bifurcation import heteroclinic_curves, homoclinic_curves, saddle_node_curves
 from doublezero.errors import DegeneracyError, DomainError, ParityError
-from doublezero.fourier import cosine
-from doublezero.melnikov import h_hat, h_hat_subharmonic
+from doublezero.fourier import TrigPolynomial, cosine
+from doublezero.melnikov import MelnikovProfile, j_integrals
 from doublezero.normalform import ScalingBranch, reduce
-from doublezero.orbits import FamilyTag, resonant_modulus
+from doublezero.orbits import FamilyKind, FamilyTag, resonant_modulus
 from doublezero.pendulum import (
     FAMILY_THETA0,
     Codim2Point,
@@ -23,7 +25,6 @@ from doublezero.pendulum import (
     example_theta_pi,
     example_theta_zero,
     prediction_curves,
-    projected_amplitude,
     reduce_pendulum,
     reduced_forcing_amplitude,
     taylor_coefficients,
@@ -258,74 +259,94 @@ def test_calibrated_params_rejects_pitchfork_gains():
 
 
 # ---------------------------------------------------------------------------
-# Projected forcing amplitudes
+# The printed amplitude displays
 # ---------------------------------------------------------------------------
 
 
-def test_projected_amplitude_separatrix_families():
-    omega_hat = 0.9
-    p = example_theta_zero(1.25, -1.2)
-    a = reduced_forcing_amplitude(p)
-    amp, k = projected_amplitude(p, FamilyTag.HET_PAIR, 1, omega_hat)
-    assert k is None
-    projected = h_hat(cosine(a), FamilyTag.HET_PAIR, omega_hat)
-    assert dict(projected.values.cos_terms)[1] == pytest.approx(amp, rel=1e-12)
-
-    q = example_theta_pi(0.8, 0.7)
-    a_pi = reduced_forcing_amplitude(q)
-    amp_pi, k_pi = projected_amplitude(q, FamilyTag.HOM_PAIR, 1, omega_hat)
-    assert k_pi is None
-    projected_pi = h_hat(cosine(a_pi), FamilyTag.HOM_PAIR, omega_hat)
-    assert dict(projected_pi.values.sin_terms)[1] == pytest.approx(amp_pi, rel=1e-12)
+def _half_period_ratio(k: float) -> float:
+    """pi * K(k') / K(k), from SciPy's integrals in the parameter k**2."""
+    return math.pi * special.ellipkm1(k * k) / special.ellipk(k * k)
 
 
-@pytest.mark.parametrize("family,m,omega_hat,factor", [
-    (FamilyTag.INSIDE_HET, 1, 0.8, 1),
-    (FamilyTag.INSIDE_HET, 3, 0.8, 1),
-    (FamilyTag.GLOBAL, 1, 1.3, 1),
-    (FamilyTag.GLOBAL, 3, 3.5, 1),
-    (FamilyTag.INSIDE_HOM, 1, 0.8, 1),
-    (FamilyTag.INSIDE_HOM, 2, 0.8, 2),
-    (FamilyTag.INSIDE_HOM, 3, 2.0, 3),
-    (FamilyTag.OUTSIDE_HOM, 1, 0.8, 1),
-    (FamilyTag.OUTSIDE_HOM, 3, 0.8, 3),
-])
-def test_projected_amplitude_vs_general_projection(family, m, omega_hat, factor):
-    """The printed displays carry a factor m for the loop families.
+def _printed_profile(p: PendulumParams, family: FamilyTag, m: int, omega_hat: float):
+    """The source text's printed projection of the reduced forcing.
 
-    The general spectral projection is the ground truth; the emitter
-    reproduces the source displays verbatim, so for the two loop families
-    the printed subharmonic amplitude is m times the projected one (for
-    m = 1 the routes coincide everywhere).
+    Each display is one harmonic of amplitude ``w * A / (hyperbolic)``
+    with ``w = sqrt(2) pi omega_hat`` and ``A`` the reduced forcing
+    amplitude; the loop families' subharmonic displays carry a factor m.
     """
+    w = math.sqrt(2.0) * math.pi * omega_hat * reduced_forcing_amplitude(p)
+    if family is FamilyTag.HET_PAIR:
+        return MelnikovProfile.from_trig(
+            cosine(w / math.sinh(math.sqrt(2.0) * math.pi * omega_hat / 2.0))
+        )
+    if family is FamilyTag.HOM_PAIR:
+        return MelnikovProfile.from_trig(_sine(w / math.cosh(math.pi * omega_hat / 2.0)))
+    k = float(resonant_modulus(family, m, 1, omega_hat))
+    r = _half_period_ratio(k)
+    trig = {
+        FamilyTag.INSIDE_HET: cosine(2.0 * w / math.sinh(m * r / 2.0)),
+        FamilyTag.GLOBAL: _sine(2.0 * w / math.cosh(m * r / 2.0)),
+        FamilyTag.INSIDE_HOM: _sine(m * w / math.cosh(m * r)),
+        FamilyTag.OUTSIDE_HOM: _sine(2.0 * m * w / math.cosh(m * r / 2.0)),
+    }[family]
+    return MelnikovProfile.from_trig(trig, family=FamilyKind(family), k=k, m=m, n=1)
+
+
+def _sine(amplitude: float) -> TrigPolynomial:
+    return TrigPolynomial({}, {1: amplitude})
+
+
+def _gain_slopes(family, m, omega_hat):
     factory = example_theta_zero if FAMILY_THETA0[family] is Theta0.ZERO else example_theta_pi
     p = factory(1.25, FAMILY_THETA0[family].sigma * -1.2)
-    a = reduced_forcing_amplitude(p)
-    amp, k = projected_amplitude(p, family, m, omega_hat)
-    assert float(k) == pytest.approx(
-        float(resonant_modulus(family, m, 1, omega_hat)), rel=1e-14
-    )
-    projected = h_hat_subharmonic(cosine(a), family, k, m, 1, omega_hat)
-    terms = (
-        projected.values.cos_terms
-        if family is FamilyTag.INSIDE_HET
-        else projected.values.sin_terms
-    )
-    # A single-harmonic forcing projects onto the same phase harmonic.
-    general = dict(terms)[1]
-    assert abs(amp) == pytest.approx(factor * abs(general), rel=1e-8)
-    if factor == 1:
-        assert amp == pytest.approx(general, rel=1e-8)
+    curves = prediction_curves(p, family, m, omega_hat, 1.0)
+    return p, [c.slope for c in curves]
 
 
-def test_projected_amplitude_validation():
+@pytest.mark.parametrize("family,emitter", [
+    (FamilyTag.HET_PAIR, heteroclinic_curves),
+    (FamilyTag.HOM_PAIR, homoclinic_curves),
+])
+def test_separatrix_curves_match_the_printed_displays(family, emitter):
+    omega_hat = 0.9
+    p, slopes = _gain_slopes(family, 1, omega_hat)
+    printed = emitter(p.sigma, 1.0, _printed_profile(p, family, 1, omega_hat))
+    assert slopes == pytest.approx([c.slope for c in printed], rel=1e-10)
+
+
+@pytest.mark.parametrize("family,m,omega_hat", [
+    (FamilyTag.INSIDE_HET, 1, 0.8),
+    (FamilyTag.INSIDE_HET, 3, 0.8),
+    (FamilyTag.GLOBAL, 1, 1.3),
+    (FamilyTag.GLOBAL, 3, 3.5),
+    (FamilyTag.INSIDE_HOM, 1, 0.8),
+    (FamilyTag.INSIDE_HOM, 2, 0.8),
+    (FamilyTag.INSIDE_HOM, 3, 2.0),
+    (FamilyTag.OUTSIDE_HOM, 1, 0.8),
+    (FamilyTag.OUTSIDE_HOM, 3, 0.8),
+])
+def test_subharmonic_curves_match_the_printed_displays(family, m, omega_hat):
+    """The gain-plane curves are the general projection's, with the
+    printed factor m for the two loop families: for m > 1 there the
+    general projection alone gives other slopes."""
+    p, slopes = _gain_slopes(family, m, omega_hat)
+    printed = _printed_profile(p, family, m, omega_hat)
+    j = j_integrals(family, printed.k, 1)
+    expected = [c.slope for c in saddle_node_curves(p.sigma, 1.0, m, printed, j)]
+    assert slopes == pytest.approx(expected, rel=1e-10)
+
+
+def test_prediction_curves_validation():
     p = example_theta_zero(1.25, -1.2)
-    with pytest.raises(ParityError, match="odd m"):
-        projected_amplitude(p, FamilyTag.INSIDE_HET, 2, 0.8)
-    with pytest.raises(DomainError, match="m must be"):
-        projected_amplitude(p, FamilyTag.INSIDE_HET, 0, 0.8)
-    with pytest.raises(DomainError, match="omega_hat"):
-        projected_amplitude(p, FamilyTag.HET_PAIR, 1, -0.5)
+    with pytest.raises(
+        ParityError, match="^family 'inside-het' has a nonzero projection only for odd m, got m=2$"
+    ):
+        prediction_curves(p, FamilyTag.INSIDE_HET, 2, 0.8, 1.0)
+    with pytest.raises(DomainError, match="^m must be >= 1, got 0$"):
+        prediction_curves(p, FamilyTag.INSIDE_HET, 0, 0.8, 1.0)
+    with pytest.raises(DomainError, match="^omega_hat must be positive, got -0.5$"):
+        prediction_curves(p, FamilyTag.HET_PAIR, 1, -0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Source rules of the package: one single-trajectory integrator, no scalar
-quadrature, no sampled orbits in the Melnikov projections, and experiments
-kept apart from the command line.
+quadrature, no sampled orbits in the Melnikov projections, one projection
+route for the pendulum, and experiments kept apart from the command line.
 
 Single trajectories go through ``dynamics._dop853`` and orbit integrals
 through array rules; SciPy's ``solve_ivp`` and ``quad`` stay in the tests
 as reference oracles only.  ``melnikov`` reads each orbit's Fourier
 coefficients in closed form, so it neither evaluates orbits nor takes an
-FFT; the sampled projection is an oracle of the tests too.  The
+FFT; the sampled projection is an oracle of the tests too.  ``pendulum``
+projects its forcing only through ``bifurcation.predicted_curves``, so it
+uses none of the projection's building blocks.  The
 ``verify`` experiments live in ``experiments``, which knows nothing of
 argument parsing, and ``cli`` defines none of them.  Every function a
 module lists in its ``__all__`` has a consumer outside the tests: a call
@@ -25,7 +27,13 @@ import doublezero
 
 BANNED = {"solve_ivp", "quad"}
 #: Names banned in one module on top of ``BANNED``.
-MODULE_BANNED = {"melnikov.py": {"evaluate", "fft"}}
+MODULE_BANNED = {
+    "melnikov.py": {"evaluate", "fft"},
+    "pendulum.py": {
+        "complete_K", "sinh", "cosh", "fourier_weight_het", "fourier_weight_hom",
+        "_velocity_spectrum",
+    },
+}
 MODULES = sorted(Path(doublezero.__file__).parent.glob("*.py"))
 
 
@@ -58,6 +66,18 @@ def test_the_rule_sees_fft_modules_and_orbit_evaluation() -> None:
         "evaluate", "evaluate", "fft", "fft", "scipy.fft"
     ]
     assert set(MODULE_BANNED) <= {p.name for p in MODULES}
+
+
+def test_the_rule_sees_the_projection_building_blocks() -> None:
+    source = (
+        "from .elliptic import complete_K\nfrom .melnikov import fourier_weight_het\n"
+        "from .orbits import _velocity_spectrum\nmath.sinh(x)\nnp.cosh(y)\n"
+        "melnikov.fourier_weight_hom(chi)\n"
+    )
+    assert sorted(banned_names(ast.parse(source), MODULE_BANNED["pendulum.py"])) == [
+        "_velocity_spectrum", "complete_K", "cosh", "fourier_weight_het",
+        "fourier_weight_hom", "sinh",
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
