@@ -22,8 +22,8 @@ verifies the first-order predictions on a feedback-controlled pendulum:
     in the rescaled parameter plane.
 ``pendulum``
     The servo-pendulum study cases: locating the degenerate gain point,
-    reduction to the normal form, and pulling predictions back to the
-    gain plane.
+    its Taylor data, which ``normalform`` reduces, and pulling predictions
+    back to the gain plane.
 ``dynamics``
     Validated numerics on the full flows: strobe maps, Newton shooting
     for periodic orbits, Floquet classification, fold detection and

@@ -41,6 +41,7 @@ import contextlib
 import csv
 import json
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -73,7 +74,7 @@ from .errors import (
 )
 from .experiments import EXPERIMENTS
 from .fourier import TrigPolynomial, cosine
-from .normalform import reduce as reduce_normal_form
+from .normalform import scale
 from .orbits import FamilyTag
 from .pendulum import (
     FAMILY_THETA0,
@@ -81,9 +82,10 @@ from .pendulum import (
     Theta0,
     calibrated_params,
     codim2_locus,
+    example_theta_pi,
+    example_theta_zero,
+    normal_form,
     prediction_curves,
-    reduce_pendulum,
-    taylor_coefficients,
 )
 
 
@@ -202,19 +204,21 @@ def _add_pendulum_flags(sub: argparse.ArgumentParser, *, require_gains: bool) ->
     g.add_argument("--eps", type=float, default=0.0, help="forcing strength")
 
 
-def _pendulum_from(ns: argparse.Namespace, *, default_theta0: Theta0 = Theta0.ZERO) -> PendulumParams:
-    theta0 = (
-        default_theta0 if ns.theta0 is None
-        else (Theta0.ZERO if ns.theta0 == "zero" else Theta0.PI)
-    )
-    hanging = theta0 is Theta0.ZERO
-    delta0 = ns.delta0 if ns.delta0 is not None else (0.2 if hanging else 0.5)
-    delta1 = ns.delta1 if ns.delta1 is not None else (-1.2 if hanging else 0.5)
-    beta = ns.beta if ns.beta is not None else 5.0
-    return PendulumParams(
-        alpha=ns.alpha, gamma=ns.gamma, delta0=delta0, delta1=delta1,
-        beta=beta, omega=ns.omega, theta0=theta0, eps=ns.eps,
-    )
+def _pendulum_from(ns: argparse.Namespace) -> PendulumParams:
+    """The pendulum of the options; the study case of ``--theta0`` supplies
+    each constant they leave unset, and its double-zero point each gain."""
+    theta0 = Theta0.ZERO if ns.theta0 is None else Theta0(ns.theta0)
+    study = example_theta_zero if theta0 is Theta0.ZERO else example_theta_pi
+    given = {name: getattr(ns, name) for name in ("delta0", "delta1", "beta")}
+    # The unit gain only stands in until the gains are known.
+    p = replace(study(1.0, 0.0), omega=ns.omega, eps=ns.eps,
+                **{name: value for name, value in given.items() if value is not None})
+    alpha, gamma = ns.alpha, ns.gamma
+    if alpha is None or gamma is None:
+        loc = codim2_locus(p)
+        alpha = loc.alpha0 if alpha is None else alpha
+        gamma = loc.gamma0 if gamma is None else gamma
+    return replace(p, alpha=alpha, gamma=gamma)
 
 
 def _pendulum_params_dict(p: PendulumParams) -> dict:
@@ -299,21 +303,13 @@ def _trig_terms(poly: TrigPolynomial) -> dict:
 def cmd_reduce(ns: argparse.Namespace) -> int:
     p = _pendulum_from(ns)
     loc = codim2_locus(p)
-    scaled = None
     calibration = None
     if ns.calibrate_omega_hat is not None:
         p, eps_hat = calibrated_params(p, ns.calibrate_omega_hat)
-        nf, scaled = reduce_pendulum(p)
         calibration = {"target_omega_hat": ns.calibrate_omega_hat, "eps_hat": eps_hat}
-    elif p.eps > 0.0:
-        nf, scaled = reduce_pendulum(p)
-    else:
-        # Unforced: only the normal-form block is defined.  The generic
-        # Taylor-data route is used here; the closed-form route must agree
-        # with it (a consistency the test suite checks at tight tolerance).
-        nf = reduce_normal_form(
-            taylor_coefficients(p), (loc.alpha1, loc.gamma1), p.omega
-        )
+    nf = normal_form(p)
+    # Unforced, only the normal-form block is defined.
+    scaled = scale(nf, p.eps) if p.eps > 0.0 else None
 
     payload = {
         "input": _pendulum_params_dict(p),
@@ -417,14 +413,6 @@ def cmd_curves(ns: argparse.Namespace) -> int:
                     f"the gain-plane sweep needs at least one sample, got {ns.samples}"
                 )
             ns.theta0 = ns.theta0 or FAMILY_THETA0[tag].value
-            hanging = ns.theta0 == "zero"
-            if ns.alpha is None or ns.gamma is None:
-                # The ray pullback only needs the study case's constants and
-                # its double-zero point, so default the gains to that point.
-                alpha0 = 1.0
-                gamma0 = alpha0 if not hanging else -alpha0
-                ns.alpha = alpha0 if ns.alpha is None else ns.alpha
-                ns.gamma = gamma0 if ns.gamma is None else ns.gamma
             p = _pendulum_from(ns)
             curves = prediction_curves(
                 p, tag, ns.m, ns.omega_hat, ns.delta,

@@ -553,9 +553,10 @@ def _integrate_legs(
     which takes the same steps for it faster (see :func:`find_subharmonic`);
     it ignores ``first_step`` and ``steps`` is ``None``.  A leg ends at its
     first accepted step whose state leaves the box ``max|state| <= box``.
-    Newton runs only the variational path without a box; the plain one is
-    kept as the reference that tests hold :func:`_shooting_trial`'s plain
-    copies to.
+    Newton runs the variational path without a box, and
+    :func:`_shooting_trial` the plain single leg with one; the plain
+    ensemble is the reference that tests hold that function's plain copies
+    to.
 
     Raises
     ------
@@ -625,13 +626,13 @@ def _shooting_trial(
     following it down to the integrator's step-size floor cost about 5,400
     right-hand-side evaluations, where a whole period takes about 300.
 
-    A single leg is one plain :func:`_dop853` integration, and ``ends``,
-    ``legs`` and ``steps`` are ``None``.  Several legs run as one ensemble
-    that holds two copies of every leg, each boxed on its state rows only
-    and both starting from ``first_step[j]`` when given.  The plain copy
-    has zero transition columns, which stay zero, and its error norm and
-    initial step count only its state rows, so it takes the steps of a
-    plain integration; its ends give ``defect``.  The variational copy
+    A single leg is one plain :func:`_integrate_legs` integration, and
+    ``ends``, ``legs`` and ``steps`` are ``None``.  Several legs run as one
+    ensemble that holds two copies of every leg, each boxed on its state
+    rows only and both starting from ``first_step[j]`` when given.  The
+    plain copy has zero transition columns, which stay zero, and its error
+    norm and initial step count only its state rows, so it takes the steps
+    of a plain integration; its ends give ``defect``.  The variational copy
     starts from the identity; its end states and transition matrices are
     ``ends`` and ``legs``, and the steps their controllers proposed last are
     ``steps``, as :func:`_integrate_legs` returns them, so an accepted trial
@@ -644,11 +645,10 @@ def _shooting_trial(
     box = _TRIAL_ESCAPE * max(1.0, float(np.max(np.abs(xs))))
     if count == 1:
         try:
-            end = _dop853(flow.rhs, xs[0], float(times[0]), float(times[1]),
-                          flow.abs_tol, flow.rel_tol, period=flow.period, box=box)
+            ends, _, _ = _integrate_legs(flow, xs, times, variational=False, box=box)
         except StepFailure:
             return math.inf, None, None, None
-        return float(np.max(np.abs(end - xs[0]))), None, None, None
+        return float(np.max(np.abs(ends[0] - xs[0]))), None, None, None
     eye = np.eye(n).reshape(n * n, 1)
     y0 = np.concatenate([np.tile(xs.T, 2),
                          np.repeat(np.hstack([np.zeros_like(eye), eye]), count, axis=1)])

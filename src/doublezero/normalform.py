@@ -42,6 +42,7 @@ __all__ = [
     "FORCING_MEAN_TOL",
     "reduce",
     "scale",
+    "unfolding_map",
 ]
 
 #: Cubic combinations smaller than this are treated as degenerate.
@@ -175,6 +176,39 @@ class ScaledParams:
         return sign * self.eps_hat**2
 
 
+def _cubic_combinations(coeffs: SymmetricSystemCoeffs) -> tuple[float, float]:
+    """The two cubic combinations ``(c, d)`` the reduction needs nonzero."""
+    c = coeffs.cubic2[0] / 6.0
+    d = (coeffs.cubic2[1] + coeffs.cubic1[0]) / 2.0
+    if abs(c) <= DEGENERACY_TOL:
+        raise DegeneracyError(f"cubic combination c = {c!r} is degenerate (|c| <= {DEGENERACY_TOL})")
+    if abs(d) <= DEGENERACY_TOL:
+        raise DegeneracyError(f"cubic combination d = {d!r} is degenerate (|d| <= {DEGENERACY_TOL})")
+    return c, d
+
+
+def unfolding_map(coeffs: SymmetricSystemCoeffs) -> tuple[_Pair, _Pair]:
+    """Rows of the linear map ``mu -> (nu1, nu2)`` that :func:`reduce` applies.
+
+    With ``r = |d / c|``, ``nu1`` is ``r**2`` times the ``x1`` coupling of
+    the second component, and ``nu2`` is ``r`` times the sum of the ``x1``
+    coupling of the first component and the ``x2`` coupling of the second.
+
+    Raises
+    ------
+    DegeneracyError
+        As :func:`reduce`.
+    """
+    c, d = _cubic_combinations(coeffs)
+    ratio = abs(d / c)
+    first_x1, _ = coeffs.coupling1
+    second_x1, second_x2 = coeffs.coupling2
+    return (
+        (ratio**2 * second_x1[0], ratio**2 * second_x1[1]),
+        (ratio * (first_x1[0] + second_x2[0]), ratio * (first_x1[1] + second_x2[1])),
+    )
+
+
 def reduce(
     coeffs: SymmetricSystemCoeffs,
     mu: tuple[float, float],
@@ -194,7 +228,8 @@ def reduce(
     Returns
     -------
     NormalFormParams
-        Reduced parameters; ``nu1`` and ``nu2`` are linear in ``mu``.
+        Reduced parameters; ``(nu1, nu2)`` is :func:`unfolding_map` applied
+        to ``mu``.
 
     Raises
     ------
@@ -209,29 +244,17 @@ def reduce(
     if not (omega > 0.0):
         raise DomainError(f"omega must be positive, got {omega!r}")
 
-    c = coeffs.cubic2[0] / 6.0
-    d = (coeffs.cubic2[1] + coeffs.cubic1[0]) / 2.0
-    if abs(c) <= DEGENERACY_TOL:
-        raise DegeneracyError(f"cubic combination c = {c!r} is degenerate (|c| <= {DEGENERACY_TOL})")
-    if abs(d) <= DEGENERACY_TOL:
-        raise DegeneracyError(f"cubic combination d = {d!r} is degenerate (|d| <= {DEGENERACY_TOL})")
-
-    ratio = abs(d / c)
-    nu1 = ratio**2 * (coeffs.coupling2[0][0] * mu1 + coeffs.coupling2[0][1] * mu2)
-    nu2 = ratio * (
-        (coeffs.coupling1[0][0] + coeffs.coupling2[1][0]) * mu1
-        + (coeffs.coupling1[0][1] + coeffs.coupling2[1][1]) * mu2
-    )
-    h = coeffs.forcing2.scaled(abs(d) ** 3 / abs(c) ** 2.5)
+    (n11, n12), (n21, n22) = unfolding_map(coeffs)
+    c, d = _cubic_combinations(coeffs)
     return NormalFormParams(
-        nu1=nu1,
-        nu2=nu2,
+        nu1=n11 * mu1 + n12 * mu2,
+        nu2=n21 * mu1 + n22 * mu2,
         s1=_sign(c),
         s2=_sign(d),
-        omega_bar=ratio * omega,
+        omega_bar=abs(d / c) * omega,
         c=c,
         d=d,
-        h=h,
+        h=coeffs.forcing2.scaled(abs(d) ** 3 / abs(c) ** 2.5),
     )
 
 

@@ -187,6 +187,12 @@ _TIME_SCALE = {
 }
 
 
+def _period(tag: FamilyTag, k: float) -> float:
+    """``quarters * K(k) * sqrt(c + s*k**2)`` of a periodic family, ``k`` unchecked."""
+    c, s, quarters = _TIME_SCALE[tag]
+    return quarters * complete_K(k) * math.sqrt(c + s * k * k)
+
+
 def _checked_modulus(family: FamilyKind, k: EllipticModulus | float) -> float:
     kv = k.k if isinstance(k, EllipticModulus) else float(k)
     lo, hi = modulus_range(family)
@@ -282,10 +288,8 @@ def _velocity_spectrum(family: FamilyKind, k: float, count: int) -> np.ndarray:
     1``; and ``c_0 = 0``.  A hyperbolic function that overflows gives the
     exact 0.
     """
-    c, s_k2, quarters = _TIME_SCALE[family.tag]
-    big_k = complete_K(k)
-    w0 = 2.0 * math.pi / (quarters * big_k * math.sqrt(c + s_k2 * k * k))
-    r = math.pi * complete_K_complement(k) / big_k
+    w0 = 2.0 * math.pi / _period(family.tag, k)
+    r = math.pi * complete_K_complement(k) / complete_K(k)
     p = np.arange(count, dtype=float)
     amp = _SQRT2 * w0 * w0 * p
     coeffs = np.zeros(count, dtype=complex)
@@ -303,9 +307,7 @@ def period(family: FamilyKind | FamilyTag, k: EllipticModulus | float) -> float:
     """Orbit period of a periodic family; `DomainError` for separatrices."""
     fam = _as_kind(family)
     _require_periodic(fam)
-    kv = _checked_modulus(fam, k)
-    c, s, quarters = _TIME_SCALE[fam.tag]
-    return quarters * complete_K(kv) * math.sqrt(c + s * kv * kv)
+    return _period(fam.tag, _checked_modulus(fam, k))
 
 
 # Residual acceptance for the resonance condition |n*T - m*T_hat| <= tol*T_hat.
@@ -358,15 +360,13 @@ def resonant_modulus(
     t_hat = 2.0 * math.pi / omega_hat
     target = m * t_hat / n  # T(k) sought
     tol = _RESONANCE_RTOL * t_hat
-    c, s, quarters = _TIME_SCALE[fam.tag]
 
     def modulus(x: float) -> float:
         return math.sqrt(-math.expm1(x))
 
     def excess(x: float) -> float:
         """``T(k) - target`` at ``k = modulus(x)``, and 0 where it is within tolerance."""
-        kv = modulus(x)
-        g = quarters * complete_K(kv) * math.sqrt(c + s * kv * kv) - target
+        g = _period(fam.tag, modulus(x)) - target
         return 0.0 if abs(n * g) <= tol else g
 
     lo, hi = modulus_range(fam)

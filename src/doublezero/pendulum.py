@@ -12,14 +12,15 @@ oscillates around either the hanging (``theta0 = 0``) or inverted
 
 For each ``theta0`` there is a curve in the ``(alpha, gamma)`` gain plane on
 which the symmetric equilibrium has a double-zero eigenvalue; this module
-locates that point, reduces the system analytically to the planar normal
-form of :mod:`.normalform` (closed-form coefficient tables, no numerical
-differentiation), and emits the predicted bifurcation curves pulled back
-from the reduced parameter plane to the ``(alpha, gamma)`` plane.
+locates that point and supplies the Taylor data of the center-manifold
+chart there.  :mod:`.normalform` does every reduction of that data: the
+normal form, its scaling, the calibration of the forcing read off the
+scaling, and the gain-to-reduced-parameter map that :func:`.normalform.reduce`
+applies.
 
 The gain-plane curves are the reduced-plane curves of
 :func:`.bifurcation.predicted_curves` for the reduced forcing, pulled back
-through the inverse of the gain-to-reduced-parameter map.  The source
+through the inverse of :func:`.normalform.unfolding_map`.  The source
 text's printed amplitude displays for the two loop families carry a factor
 ``m`` that the general projection does not, and the curves keep it: those
 families project ``m`` times the reduced forcing.
@@ -28,6 +29,7 @@ families project ``m`` times the reduced forcing.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -40,7 +42,9 @@ from .normalform import (
     NormalFormParams,
     ScaledParams,
     SymmetricSystemCoeffs,
+    reduce,
     scale,
+    unfolding_map,
 )
 from .orbits import FamilyTag
 
@@ -51,8 +55,8 @@ __all__ = [
     "ParameterPlaneCurve",
     "codim2_locus",
     "taylor_coefficients",
+    "normal_form",
     "reduce_pendulum",
-    "reduced_forcing_amplitude",
     "prediction_curves",
     "vector_field",
     "vector_field_jacobian",
@@ -155,77 +159,57 @@ def codim2_locus(p: PendulumParams) -> Codim2Point:
     )
 
 
-def _table(sigma: int, alpha0: float, delta0: float) -> dict[str, float]:
-    """Closed-form reduction coefficients of the center-manifold chart."""
-    s = alpha0 + delta0
-    return {
-        "a11": sigma / s**2,
-        "a12": delta0 / s**2,
-        "a21": -sigma / s,
-        "a22": -delta0 / s,
-        "b11": 1.0 / s**2,
-        "b21": -1.0 / s,
-    }
-
-
-def reduced_forcing_amplitude(p: PendulumParams) -> float:
-    """Signed amplitude of the reduced forcing profile ``h(phi) = A cos(phi)``."""
-    loc = codim2_locus(p)
-    a0, d0 = loc.alpha0, p.delta0
-    return (
-        4.5 * math.sqrt(6.0) * p.beta * loc.gamma0 * d0**3
-        / (a0**2.5 * (a0 + d0) ** 4.5)
-    )
-
-
 def taylor_coefficients(p: PendulumParams) -> SymmetricSystemCoeffs:
     """Taylor data of the center-manifold reduction at the double-zero point.
 
-    This is the generic-route input for :func:`.normalform.reduce`; the
-    specialized formulas in :func:`reduce_pendulum` must agree with feeding
-    this data through the generic reduction (a two-path consistency check
-    exercised by the test suite).
+    The unfolding parameters are the gain offsets ``(alpha1, gamma1)`` of
+    :func:`codim2_locus`.  This is the pendulum's only input to
+    :func:`.normalform.reduce`, and every reduction below goes through it.
+    The data depend on ``theta0``, ``delta0``, ``delta1`` and ``beta``
+    alone, not on the gains or the forcing frequency and strength.
     """
     loc = codim2_locus(p)
-    sigma = p.sigma
-    a0, d0 = loc.alpha0, p.delta0
+    return _taylor_data(p.sigma, loc.alpha0, loc.gamma0, p.delta0, p.beta)
+
+
+# Built once per set of constants: a gain-plane query reduces at the same
+# constants three times (calibration, reduction, pullback), and building
+# and validating the data would cost more than the reduction itself.  The
+# result is immutable, so every caller can share it.
+@functools.lru_cache(maxsize=16)
+def _taylor_data(
+    sigma: int, a0: float, gamma0: float, d0: float, beta: float
+) -> SymmetricSystemCoeffs:
     s = a0 + d0
-    t = _table(sigma, a0, d0)
     return SymmetricSystemCoeffs(
         cubic1=(sigma * d0 / s**2, 0.0, 0.0, 0.0),
         cubic2=(sigma * a0 / s, 0.0, 0.0, 0.0),
-        coupling1=((t["a11"], t["b11"]), (t["a12"], 0.0)),
-        coupling2=((t["a21"], t["b21"]), (t["a22"], 0.0)),
+        coupling1=((sigma / s**2, 1.0 / s**2), (d0 / s**2, 0.0)),
+        coupling2=((-sigma / s, -1.0 / s), (-d0 / s, 0.0)),
         forcing1=TrigPolynomial(),
-        forcing2=cosine(p.beta * loc.gamma0 / s),
+        forcing2=cosine(beta * gamma0 / s),
     )
+
+
+def normal_form(p: PendulumParams) -> NormalFormParams:
+    """The normal form of ``p``: :func:`taylor_coefficients` reduced at its gains.
+
+    Both cubic signs equal the sign of ``cos(theta0)``, and the forcing is
+    ``A cos(phi)``.  Unlike :func:`reduce_pendulum` it needs no forcing
+    scale, so it is defined at ``eps = 0``.
+    """
+    loc = codim2_locus(p)
+    return reduce(taylor_coefficients(p), (loc.alpha1, loc.gamma1), p.omega)
 
 
 def reduce_pendulum(p: PendulumParams) -> tuple[NormalFormParams, ScaledParams]:
-    """Analytic reduction of the pendulum to normal-form and scaled parameters.
+    """The normal form of ``p`` and its scaled parameters at ``p.eps``.
 
-    Uses the closed-form coefficient tables; both cubic signs equal the sign
-    of ``cos(theta0)``.  The scaled parameters are produced by
-    :func:`.normalform.scale`, so ``nu1 = 0`` (gains on the vertical line
-    through the double-zero point) raises :class:`~.errors.DomainError`.
+    The scaled parameters are :func:`.normalform.scale` of
+    :func:`normal_form`, so ``nu1 = 0`` (gains on the pitchfork line) and
+    ``eps = 0`` raise :class:`~.errors.DomainError`.
     """
-    loc = codim2_locus(p)
-    sigma = p.sigma
-    a0, d0 = loc.alpha0, p.delta0
-    s = a0 + d0
-    t = _table(sigma, a0, d0)
-    nu1 = 9.0 * d0**2 * (t["a21"] * loc.alpha1 + t["b21"] * loc.gamma1) / (a0**2 * s**2)
-    nu2 = 3.0 * d0 * ((t["a11"] + t["a22"]) * loc.alpha1 + t["b11"] * loc.gamma1) / (a0 * s)
-    nf = NormalFormParams(
-        nu1=nu1,
-        nu2=nu2,
-        s1=sigma,
-        s2=sigma,
-        omega_bar=3.0 * d0 * p.omega / (a0 * s),
-        c=sigma * a0 / (6.0 * s),
-        d=sigma * d0 / (2.0 * s**2),
-        h=cosine(reduced_forcing_amplitude(p)),
-    )
+    nf = normal_form(p)
     return nf, scale(nf, p.eps)
 
 
@@ -270,21 +254,17 @@ def calibrated_params(p: PendulumParams, omega_hat: float) -> tuple[PendulumPara
     of ``p`` whose forcing frequency makes the scaled frequency equal
     ``omega_hat`` and whose forcing strength makes the scaled forcing ratio
     exactly one, together with the scale ``eps_hat`` implied by the gains.
+    Both are read off :func:`.normalform.scale` of the normal form at unit
+    frequency and forcing, where the scaled frequency is linear in
+    ``omega``; gains on the pitchfork line raise its
+    :class:`~.errors.DomainError`.
     """
     omega_hat = float(omega_hat)
     if not (omega_hat > 0.0):
         raise DomainError(f"omega_hat must be positive, got {omega_hat!r}")
-    loc = codim2_locus(p)
-    a0, d0 = loc.alpha0, p.delta0
-    t = _table(p.sigma, a0, d0)
-    drive = t["a21"] * loc.alpha1 + t["b21"] * loc.gamma1
-    if drive == 0.0:
-        raise DomainError(
-            "gains sit on the pitchfork line (nu1 = 0); no scale is defined"
-        )
-    eps_hat = 3.0 * d0 * math.sqrt(abs(drive)) / (a0 * (a0 + d0))
-    omega = eps_hat * a0 * (a0 + d0) * omega_hat / (3.0 * d0)
-    return replace(p, omega=omega, eps=eps_hat**4), eps_hat
+    unit = scale(normal_form(replace(p, omega=1.0)), 1.0)
+    calibrated = replace(p, omega=omega_hat / unit.omega_hat, eps=unit.eps_hat**4)
+    return calibrated, unit.eps_hat
 
 
 def example_theta_zero(
@@ -365,32 +345,16 @@ class ParameterPlaneCurve:
         ]
 
 
-def _reduction_matrix(p: PendulumParams) -> tuple[Codim2Point, np.ndarray]:
-    """Affine map (alpha1, gamma1) -> (nu1, nu2) as a 2x2 matrix."""
-    loc = codim2_locus(p)
-    a0, d0 = loc.alpha0, p.delta0
-    s = a0 + d0
-    t = _table(p.sigma, a0, d0)
-    pref1 = 9.0 * d0**2 / (a0**2 * s**2)
-    pref2 = 3.0 * d0 / (a0 * s)
-    mat = np.array(
-        [
-            [pref1 * t["a21"], pref1 * t["b21"]],
-            [pref2 * (t["a11"] + t["a22"]), pref2 * t["b11"]],
-        ]
-    )
-    return loc, mat
-
-
 def _pullback(
-    p: PendulumParams,
+    loc: Codim2Point,
+    unfolding: tuple[tuple[float, float], tuple[float, float]],
     curves: list[BifurcationCurve],
     curve_set: str,
     *,
     extent: float,
     samples: int,
 ) -> list[ParameterPlaneCurve]:
-    loc, mat = _reduction_matrix(p)
+    mat = np.array(unfolding)
     det = float(np.linalg.det(mat))
     if abs(det) < 1e-14:
         raise DegeneracyError("the gain-to-reduced-parameter map is singular")
@@ -433,14 +397,15 @@ def prediction_curves(
     """Predicted bifurcation curves of one orbit family in the gain plane.
 
     The curves are those of :func:`.bifurcation.predicted_curves` for the
-    reduced forcing ``cosine(reduced_forcing_amplitude(p))`` at ``m:1``
-    resonance and ``s2 = cos(theta0)``, pulled back to the gain plane; for
-    the two loop families the forcing carries the printed factor ``m``.
-    ``p`` supplies the configuration (``theta0`` must match the family's
-    half of the analysis) and the physical constants of the forcing
-    amplitude; ``m`` is the subharmonic order (checked but otherwise
-    ignored for the two separatrix families, odd-only where the projection
-    vanishes for even ``m``); ``delta_big`` is the scaled forcing ratio.
+    normal form's forcing ``h`` at ``m:1`` resonance and its ``s2 =
+    cos(theta0)``, pulled back to the gain plane through the inverse of
+    :func:`.normalform.unfolding_map`; for the two loop families the
+    forcing carries the printed factor ``m``.  ``p`` supplies the
+    configuration (``theta0`` must match the family's half of the
+    analysis) and the physical constants of the Taylor data; ``m`` is the
+    subharmonic order (checked but otherwise ignored for the two
+    separatrix families, odd-only where the projection vanishes for even
+    ``m``); ``delta_big`` is the scaled forcing ratio.
     Each emitted curve is a ray through the double-zero point sampled out
     to ``extent`` in the larger of the two gain offsets.
 
@@ -463,11 +428,13 @@ def prediction_curves(
         raise DomainError(f"omega_hat must be positive, got {omega_hat!r}")
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    factor = m if family in _PRINTED_M_FAMILIES else 1
-    forcing = cosine(factor * reduced_forcing_amplitude(p))
+    loc = codim2_locus(p)
     if family in _ODD_M_FAMILIES and m % 2 == 0:
         raise ParityError(
             f"family {family.value!r} has a nonzero projection only for odd m, got m={m}"
         )
-    curves, _ = predicted_curves(forcing, family, m, 1, omega_hat, p.sigma, delta_big)
-    return _pullback(p, curves, family.value, extent=extent, samples=samples)
+    nf = normal_form(p)
+    factor = m if family in _PRINTED_M_FAMILIES else 1
+    curves, _ = predicted_curves(nf.h.scaled(factor), family, m, 1, omega_hat, nf.s2, delta_big)
+    return _pullback(loc, unfolding_map(taylor_coefficients(p)), curves, family.value,
+                     extent=extent, samples=samples)

@@ -128,3 +128,31 @@ def test_a_huge_harmonic_is_refused_before_the_forcing_is_built(
     out = str(tmp_path / "out.txt")
     assert cli.main(args + ["--harmonic", "100000000", "-o", out]) == 2
     assert "--harmonic must be <= 1024" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gains", [
+    ["--alpha", "1.25", "--gamma", "-1.2"],
+    ["--theta0", "pi", "--alpha", "0.8", "--gamma", "0.7"],
+])
+def test_reduce_prints_one_normal_form_with_and_without_forcing(gains, tmp_path) -> None:
+    reports = []
+    for eps in ("0", "1e-4"):
+        path = tmp_path / f"reduce-{eps}.json"
+        assert cli.main(["reduce", *gains, "--eps", eps, "-o", str(path)]) == 0
+        reports.append(json.loads(path.read_text(encoding="utf-8")))
+    unforced, forced = reports
+    assert unforced["normal_form"] == forced["normal_form"]
+    assert unforced["scaled"] is None
+    assert forced["scaled"]["delta"] > 0.0
+
+
+def test_curves_default_the_gains_to_the_double_zero_point(tmp_path) -> None:
+    path = tmp_path / "het.json"
+    argv = ["curves", "--family", "het", "--delta0", "0.3", "--samples", "3", "--format", "json"]
+    assert cli.main(argv + ["-o", str(path)]) == 0
+    report = json.loads(path.read_text(encoding="utf-8"))
+    gains = (report["parameters"]["alpha"], report["parameters"]["gamma"])
+    # alpha0 = -(1 + delta1) / delta0 and gamma0 = -alpha0 when hanging.
+    assert gains == pytest.approx((2.0 / 3.0, -2.0 / 3.0), rel=1e-14)
+    starts = {(r["alpha"], r["gamma"]) for r in report["records"][::3]}
+    assert starts == {gains}

@@ -15,6 +15,7 @@ from doublezero.normalform import (
     SymmetricSystemCoeffs,
     reduce,
     scale,
+    unfolding_map,
 )
 
 
@@ -45,6 +46,8 @@ def test_reduction_against_hand_computed_values() -> None:
     assert nf.s1 == 1 and nf.s2 == 1
     assert nf.nu1 == pytest.approx(6.25 * (0.1 - 0.4), rel=1e-14)
     assert nf.nu2 == pytest.approx(2.5 * ((5 + 3) * 0.1 + (6 + 4) * -0.2), rel=1e-14)
+    # The map reduce applies: rows ratio**2 * (1, 2) and ratio * (5 + 3, 6 + 4).
+    assert unfolding_map(_example_coeffs()) == ((6.25, 12.5), (20.0, 25.0))
     assert nf.omega_bar == pytest.approx(2.5 * 0.7, rel=1e-14)
     # The reduced profile is the second-component profile, rescaled.
     factor = 5.0**3 / 2.0**2.5
@@ -78,6 +81,8 @@ def test_signs_follow_the_cubic_combinations() -> None:
 def test_degenerate_cubics_are_rejected() -> None:
     with pytest.raises(DegeneracyError):
         reduce(_example_coeffs(cubic2=(0.0, 4.0, 0.0, 0.0)), (0.1, 0.1), omega=1.0)
+    with pytest.raises(DegeneracyError):
+        unfolding_map(_example_coeffs(cubic2=(0.0, 4.0, 0.0, 0.0)))
     with pytest.raises(DegeneracyError):
         reduce(
             _example_coeffs(cubic1=(-4.0, 0.0, 0.0, 0.0), cubic2=(12.0, 4.0, 0.0, 0.0)),

@@ -13,7 +13,7 @@ from doublezero.bifurcation import heteroclinic_curves, homoclinic_curves, saddl
 from doublezero.errors import DegeneracyError, DomainError, ParityError
 from doublezero.fourier import TrigPolynomial, cosine
 from doublezero.melnikov import MelnikovProfile, j_integrals
-from doublezero.normalform import ScalingBranch, reduce
+from doublezero.normalform import ScalingBranch, unfolding_map
 from doublezero.orbits import FamilyKind, FamilyTag, resonant_modulus
 from doublezero.pendulum import (
     FAMILY_THETA0,
@@ -24,14 +24,13 @@ from doublezero.pendulum import (
     codim2_locus,
     example_theta_pi,
     example_theta_zero,
+    normal_form,
     prediction_curves,
     reduce_pendulum,
-    reduced_forcing_amplitude,
     taylor_coefficients,
     vector_field,
     vector_field_jacobian,
 )
-from doublezero.pendulum import _reduction_matrix
 
 # Frozen values for the two study configurations (gain plane, scaling, and
 # steady states), computed once from the closed forms and pinned here so a
@@ -185,9 +184,37 @@ def test_inverted_rest_states(z1, z3):
 # ---------------------------------------------------------------------------
 
 
-def test_reduced_forcing_amplitude_frozen_value():
-    p = example_theta_zero(1.25, -1.2)
-    assert reduced_forcing_amplitude(p) == pytest.approx(CENSUS_AMPLITUDE, rel=1e-14)
+def _printed_reduction(p: PendulumParams) -> dict[str, float]:
+    """The source text's closed forms of the pendulum's reduction.
+
+    With ``s = alpha0 + delta0`` the normal form is ``nu1 = 9 delta0**2
+    drive / (alpha0**2 s**2)``, ``drive = -(sigma alpha1 + gamma1) / s``,
+    ``nu2 = 3 delta0 ((sigma / s**2 - delta0 / s) alpha1 + gamma1 / s**2) /
+    (alpha0 s)``, ``omega_bar = 3 delta0 omega / (alpha0 s)``, ``c = sigma
+    alpha0 / (6 s)``, ``d = sigma delta0 / (2 s**2)`` and the forcing
+    amplitude ``4.5 sqrt(6) beta gamma0 delta0**3 / (alpha0**2.5 s**4.5)``;
+    the calibration's scale is ``eps_hat = 3 delta0 sqrt(|drive|) /
+    (alpha0 s)``.
+    """
+    loc = codim2_locus(p)
+    sigma, a0, d0 = p.sigma, loc.alpha0, p.delta0
+    s = a0 + d0
+    drive = -(sigma * loc.alpha1 + loc.gamma1) / s
+    return {
+        "nu1": 9.0 * d0**2 * drive / (a0**2 * s**2),
+        "nu2": 3.0 * d0 * ((sigma / s**2 - d0 / s) * loc.alpha1 + loc.gamma1 / s**2) / (a0 * s),
+        "omega_bar": 3.0 * d0 * p.omega / (a0 * s),
+        "c": sigma * a0 / (6.0 * s),
+        "d": sigma * d0 / (2.0 * s**2),
+        "amplitude": 4.5 * math.sqrt(6.0) * p.beta * loc.gamma0 * d0**3 / (a0**2.5 * s**4.5),
+        "eps_hat": 3.0 * d0 * math.sqrt(abs(drive)) / (a0 * s),
+    }
+
+
+def test_reduced_forcing_frozen_value():
+    nf = normal_form(example_theta_zero(1.25, -1.2))
+    assert nf.h.sin_terms == ()
+    assert dict(nf.h.cos_terms)[1] == pytest.approx(CENSUS_AMPLITUDE, rel=1e-14)
 
 
 @pytest.mark.parametrize("factory,s_expected", [
@@ -201,34 +228,38 @@ def test_cubic_signs_follow_configuration(factory, s_expected):
     assert nf.s2 == s_expected
 
 
-def test_two_path_reduction_consistency():
-    """Closed-form reduction == generic reduction fed the Taylor data."""
+def test_the_reduction_matches_the_printed_closed_forms():
+    """The one reduction route, and the calibration read off it, give the
+    printed closed forms at random gains, frequencies and constants."""
     rng = np.random.default_rng(2024)
     factories = [example_theta_zero, example_theta_pi]
-    checked = 0
-    while checked < 100:
+    for checked in range(100):
         factory = factories[checked % 2]
         alpha = float(rng.uniform(0.4, 2.5))
         gamma = float(rng.uniform(-2.5, 2.5))
         omega = float(rng.uniform(0.05, 2.0))
-        p = factory(alpha, gamma, omega=omega, eps=1e-4)
-        loc = codim2_locus(p)
-        direct, _ = reduce_pendulum(p)
-        generic = reduce(taylor_coefficients(p), (loc.alpha1, loc.gamma1), p.omega)
-        if direct.nu1 == 0.0:
-            continue  # pitchfork line: reduce_pendulum cannot scale here
-        assert generic.nu1 == pytest.approx(direct.nu1, rel=1e-12, abs=1e-15)
-        assert generic.nu2 == pytest.approx(direct.nu2, rel=1e-12, abs=1e-15)
-        assert generic.s1 == direct.s1
-        assert generic.s2 == direct.s2
-        assert generic.omega_bar == pytest.approx(direct.omega_bar, rel=1e-12)
-        assert generic.c == pytest.approx(direct.c, rel=1e-12)
-        assert generic.d == pytest.approx(direct.d, rel=1e-12)
-        assert generic.h.sin_terms == direct.h.sin_terms == ()
-        assert dict(generic.h.cos_terms)[1] == pytest.approx(
-            dict(direct.h.cos_terms)[1], rel=1e-12
+        # Both study cases keep a positive alpha0 for any positive delta0.
+        constants = {"delta0": float(rng.uniform(0.1, 0.6)), "beta": float(rng.uniform(0.5, 8.0))}
+        p = replace(factory(alpha, gamma, omega=omega), **constants)
+        printed = _printed_reduction(p)
+        nf = normal_form(p)
+        assert nf.nu1 == pytest.approx(printed["nu1"], rel=1e-12, abs=1e-15)
+        assert nf.nu2 == pytest.approx(printed["nu2"], rel=1e-12, abs=1e-15)
+        assert nf.s1 == nf.s2 == p.sigma
+        assert nf.omega_bar == pytest.approx(printed["omega_bar"], rel=1e-12)
+        assert nf.c == pytest.approx(printed["c"], rel=1e-12)
+        assert nf.d == pytest.approx(printed["d"], rel=1e-12)
+        assert nf.h.sin_terms == ()
+        assert dict(nf.h.cos_terms)[1] == pytest.approx(printed["amplitude"], rel=1e-12)
+        # The drawn frequency doubles as the calibration target omega_hat;
+        # the printed calibrated frequency is eps_hat alpha0 s omega_hat /
+        # (3 delta0), that is eps_hat omega_hat omega / omega_bar.
+        calibrated, eps_hat = calibrated_params(p, omega)
+        assert eps_hat == pytest.approx(printed["eps_hat"], rel=1e-12)
+        assert calibrated.omega == pytest.approx(
+            printed["eps_hat"] * omega * p.omega / printed["omega_bar"], rel=1e-12
         )
-        checked += 1
+        assert calibrated.eps == pytest.approx(printed["eps_hat"] ** 4, rel=1e-12)
 
 
 def test_reduce_pendulum_requires_forcing_scale():
@@ -275,7 +306,7 @@ def _printed_profile(p: PendulumParams, family: FamilyTag, m: int, omega_hat: fl
     with ``w = sqrt(2) pi omega_hat`` and ``A`` the reduced forcing
     amplitude; the loop families' subharmonic displays carry a factor m.
     """
-    w = math.sqrt(2.0) * math.pi * omega_hat * reduced_forcing_amplitude(p)
+    w = math.sqrt(2.0) * math.pi * omega_hat * _printed_reduction(p)["amplitude"]
     if family is FamilyTag.HET_PAIR:
         return MelnikovProfile.from_trig(
             cosine(w / math.sinh(math.sqrt(2.0) * math.pi * omega_hat / 2.0))
@@ -370,12 +401,8 @@ def test_prediction_curves_configuration_mismatch():
 
 
 def _reduced_point(p: PendulumParams, alpha: float, gamma: float):
-    """Map a gain point to (nu1, nu2) through the generic reduction."""
-    from dataclasses import replace
-
-    q = replace(p, alpha=alpha, gamma=gamma)
-    loc = codim2_locus(q)
-    nf = reduce(taylor_coefficients(q), (loc.alpha1, loc.gamma1), q.omega)
+    """Map a gain point to (nu1, nu2) through the reduction."""
+    nf = normal_form(replace(p, alpha=alpha, gamma=gamma))
     return nf.nu1, nf.nu2
 
 
@@ -393,7 +420,7 @@ def test_prediction_curves_are_reduced_plane_rays(family, m, omega_hat, factory)
     p = factory(1.25, FAMILY_THETA0[family].sigma * -1.2)
     curves = prediction_curves(p, family, m, omega_hat, 1.0, extent=0.25)
     assert curves, "family emitted no curves"
-    inv = np.linalg.inv(_reduction_matrix(p)[1])
+    inv = np.linalg.inv(np.array(unfolding_map(taylor_coefficients(p))))
     for curve in curves:
         direction = inv @ np.array([1.0, curve.slope])
         t_max = 0.25 / max(abs(direction[0]), abs(direction[1]))
