@@ -8,18 +8,27 @@ Re sum_j c_j exp(i*j*phi)``; scaling, sums and the projections in
 
 Arrays are evaluated by Horner's rule in ``z = exp(i*phi)``, two in-place
 complex operations per harmonic; with ``|z| = 1`` its error stays a few
-ulps of ``coefficient_norm()`` at any phase and harmonic count.  Two paths
-stay for the callers that need them:
+ulps of ``coefficient_norm()`` at any phase and harmonic count.  Three
+paths stay for the callers that need them:
 
 * a Python float is summed term by term with ``math``: the single-state
   integrator evaluates the forcing once per right-hand side, where an
   array round trip costs more than the sum;
 * with at most one harmonic an array gets ``a0 + a1*cos(phi) +
   b1*sin(phi)`` formed in place: the batch right-hand side of manifold
-  tracing evaluates such a forcing on every stage.
+  tracing evaluates such a forcing on every stage;
+* the period grid gets one inverse real FFT, whose cost does not grow with
+  the harmonic count: Melnikov functions are sampled there.  It is taken
+  when the input is a 1-D array exactly equal to ``np.arange(n) *
+  (2*pi/n)`` (what ``np.linspace(0, 2*pi, n, endpoint=False)`` builds),
+  the series has at least two harmonics, and ``n > 2*max_harmonic``.  The
+  FFT gives the values at the exact angles ``2*pi*j/n``; they differ from
+  the values at the rounded grid phases by up to ``|f'|`` times that
+  rounding, a few ulps of ``2*pi``.
 
 ``extrema`` is ``mean +- hypot(a1, b1)`` for at most one harmonic, else
-the arg-max and arg-min of one inverse FFT, polished by Newton steps.
+the arg-max and arg-min of the same inverse FFT on a finer grid, polished
+by Newton steps in Python floats.
 """
 
 from __future__ import annotations
@@ -71,18 +80,19 @@ class TrigPolynomial:
     ) -> None:
         sin_map = dict(sin_terms)
         sin_map.pop(0, None)
-        index: list[int] = []
-        value: list[complex] = []
+        # Slots in the interleaved (a_j, -b_j) floats of the spectrum.
+        slots: list[tuple[int, float]] = []
         for what, terms in (("cos", dict(cos_terms)), ("sin", sin_map)):
             for j, v in terms.items():
                 j, v = int(j), float(v)
                 if j < 0:
                     raise DomainError(f"{what} harmonic index must be >= 0, got {j}")
-                index.append(j)
-                value.append(complex(v, 0.0) if what == "cos" else complex(0.0, -v))
-        c = np.zeros(max(index, default=0) + 1, dtype=complex)
-        np.add.at(c, index, value)
-        self._set(c)
+                slots.append((2 * j, v) if what == "cos" else (2 * j + 1, -v))
+        flat = [0.0] * (max((k for k, _ in slots), default=0) // 2 * 2 + 2)
+        for k, v in slots:
+            # Added to a zero, so a -0.0 coefficient is stored as +0.0.
+            flat[k] += v
+        self._set(np.array(flat).view(complex))
 
     def _set(self, c: np.ndarray) -> None:
         """Make ``c``, trimmed of trailing zero harmonics, the read-only spectrum."""
@@ -165,9 +175,11 @@ class TrigPolynomial:
         ``math.sin``.  Any other input returns an array of its shape: with
         at most one harmonic ``a0 + a1*cos(phi) + b1*sin(phi)``, term for
         term, formed in place in the array of the first transcendental call
-        (a constant is its value at every phase); otherwise Horner's rule
-        in ``z = exp(i*phi)``.  The returned array is always a new one,
-        which the caller may overwrite.
+        (a constant is its value at every phase); on the period grid, a 1-D
+        array exactly equal to ``np.arange(n) * (2*pi/n)`` with ``n >
+        2*max_harmonic``, one inverse real FFT; otherwise Horner's rule in
+        ``z = exp(i*phi)``.  The returned array is always a new one, which
+        the caller may overwrite.
         """
         if isinstance(phi, (float, int)) or getattr(phi, "ndim", None) == 0:
             x = float(phi)
@@ -200,6 +212,11 @@ class TrigPolynomial:
                 out = np.full_like(x, mean)
             return out
         c = self.spectrum
+        n = x.size
+        if x.ndim == 1 and n > 2 * self.max_harmonic and np.array_equal(
+            x, np.arange(n) * (2.0 * math.pi / n)
+        ):
+            return _period_grid_values(c, n)
         z = np.exp(1j * x)
         acc = z * c[-1]
         for cj in c[-2:0:-1]:
@@ -250,7 +267,10 @@ class TrigPolynomial:
         polished by Newton steps on ``f'/f''``, each kept inside the grid
         bracket around its start, until no phase moves by more than
         rounding (at most ``_NEWTON_STEPS`` steps); a polished value
-        replaces the grid value only when it is the more extreme one.
+        replaces the grid value only when it is the more extreme one.  A
+        step is one ``(2, H+1) @ (H+1, 3)`` product giving ``f``, ``f'`` and
+        ``f''`` at both phases; the step itself, its clamp and the stopping
+        test run in Python floats, and a phase where ``f'' = 0`` stays put.
         """
         first = self._first_harmonic()
         if first:
@@ -261,27 +281,39 @@ class TrigPolynomial:
         n = _EXTREMA_SAMPLES
         while n <= 2 * self.max_harmonic:
             n *= 2
-        spec = 0.5 * n * c
-        spec[0] *= 2.0
-        vals = np.fft.irfft(spec, n)
+        vals = _period_grid_values(c, n)
         step = 2.0 * math.pi / n
-        i_max, i_min = int(np.argmax(vals)), int(np.argmin(vals))
-        phi = np.array([i_max, i_min]) * step
-        lower, upper = phi - step, phi + step
+        i_max, i_min = int(vals.argmax()), int(vals.argmin())
+        phi = [i_max * step, i_min * step]
+        brackets = [(p - step, p + step) for p in phi]
         ij = 1j * np.arange(c.size)
         spectra = np.stack([c, c * ij, c * ij**2], axis=1)  # of f, f' and f''
 
         for _ in range(_NEWTON_STEPS):
-            value, d1, d2 = (np.exp(phi[:, None] * ij) @ spectra).real.T
-            shift = np.divide(d1, d2, out=np.zeros(2), where=d2 != 0.0)
-            moved = np.minimum(np.maximum(phi - shift, lower), upper)
-            if abs(moved - phi).max() <= _PHASE_ROUNDING:
+            rows = (np.exp(np.array(phi)[:, None] * ij) @ spectra).real.tolist()
+            value = [f for f, _, _ in rows]
+            moved = [
+                min(max(p - (d1 / d2 if d2 != 0.0 else 0.0), lower), upper)
+                for p, (_, d1, d2), (lower, upper) in zip(phi, rows, brackets)
+            ]
+            if max(abs(m - p) for m, p in zip(moved, phi)) <= _PHASE_ROUNDING:
                 break
             phi = moved
         else:
-            value = (np.exp(phi[:, None] * ij) @ c).real
+            value = (np.exp(np.array(phi)[:, None] * ij) @ c).real.tolist()
         hi, lo = value
-        return (max(float(hi), float(vals[i_max])), min(float(lo), float(vals[i_min])))
+        return (max(hi, float(vals[i_max])), min(lo, float(vals[i_min])))
+
+
+def _period_grid_values(c: np.ndarray, n: int) -> np.ndarray:
+    """The series of spectrum ``c`` at ``2*pi*j/n``, ``j = 0 .. n-1``.
+
+    One inverse real FFT; ``n`` must exceed twice the top harmonic, so that
+    no harmonic aliases and none sits at the Nyquist frequency.
+    """
+    spec = 0.5 * n * c
+    spec[0] *= 2.0
+    return np.fft.irfft(spec, n)
 
 
 def cosine(amplitude: float, harmonic: int = 1) -> TrigPolynomial:

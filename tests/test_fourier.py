@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doublezero import fourier
 from doublezero.errors import DomainError
 from doublezero.fourier import TrigPolynomial, cosine
 
@@ -94,7 +95,8 @@ def test_one_harmonic_arrays_equal_the_per_harmonic_sum_bitwise(poly: TrigPolyno
 def test_array_evaluation_returns_a_fresh_writable_array(poly: TrigPolynomial) -> None:
     # Callers such as the batch right-hand side of ``scaled_flow`` add into
     # the returned array, so it must never be, or alias, the input.
-    for phi in (PHASES, PHASES.reshape(4, -1), PHASES[::3]):
+    period_grid = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    for phi in (PHASES, PHASES.reshape(4, -1), PHASES[::3], period_grid):
         before = phi.tobytes()
         values = poly(phi)
         assert values.dtype == np.float64 and values.flags.writeable
@@ -135,14 +137,70 @@ NEAR_ENDS = np.concatenate(
 )
 
 
-@pytest.mark.parametrize("harmonics", [2, 3, 8, 64, 257, 1024])
-def test_array_evaluation_matches_the_per_harmonic_sum(harmonics: int) -> None:
+def _random_series(harmonics: int) -> TrigPolynomial:
+    """Every cos and sin coefficient up to ``harmonics`` drawn standard normal."""
     rng = np.random.default_rng(harmonics)
     j = range(harmonics + 1)
-    poly = TrigPolynomial(dict(zip(j, rng.normal(size=harmonics + 1))),
+    return TrigPolynomial(dict(zip(j, rng.normal(size=harmonics + 1))),
                           dict(zip(j, rng.normal(size=harmonics + 1))))
-    err = np.max(np.abs(poly(NEAR_ENDS) - _long_double_sum(poly, NEAR_ENDS)))
-    assert err <= 2e-14 * poly.coefficient_norm()
+
+
+def _error(poly: TrigPolynomial, phi: np.ndarray) -> float:
+    """Largest deviation from the ``np.longdouble`` per-harmonic sum."""
+    values = poly(phi)
+    assert values.shape == phi.shape
+    return float(np.max(np.abs(values - _long_double_sum(poly, phi))))
+
+
+@pytest.mark.parametrize("harmonics", [2, 3, 8, 64, 257, 1024])
+def test_array_evaluation_matches_the_per_harmonic_sum(harmonics: int) -> None:
+    poly = _random_series(harmonics)
+    assert _error(poly, NEAR_ENDS) <= 2e-14 * poly.coefficient_norm()
+
+
+@pytest.mark.parametrize("harmonics", [2, 8, 64, 257, 1024])
+def test_period_grids_take_one_fft_within_the_same_bound(harmonics: int, monkeypatch) -> None:
+    # The FFT gives the values at the exact angles 2*pi*j/n; the bound also
+    # covers |f'| times the rounding of the grid phases.
+    poly = _random_series(harmonics)
+    sampled: list[int] = []
+    fft = fourier._period_grid_values
+
+    def counted_fft(c, n):
+        sampled.append(n)
+        return fft(c, n)
+
+    monkeypatch.setattr(fourier, "_period_grid_values", counted_fft)
+    sizes = [n for n in (2 * harmonics + 1, 1024, 4096) if n > 2 * harmonics]
+    for n in sizes:
+        grid = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        assert _error(poly, grid) <= 2e-14 * poly.coefficient_norm()
+    assert sampled == sizes
+
+
+@pytest.mark.parametrize("harmonics", [2, 8, 64, 257, 1024])
+def test_arrays_off_the_period_grid_take_horner_within_the_same_bound(
+    harmonics: int, monkeypatch
+) -> None:
+    poly = _random_series(harmonics)
+
+    def no_fft(c, n):
+        raise AssertionError(f"an input off the period grid took the FFT path (n = {n})")
+
+    monkeypatch.setattr(fourier, "_period_grid_values", no_fft)
+    n = 4096
+    grid = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    one_ulp = grid.copy()
+    one_ulp[n // 3] = np.nextafter(one_ulp[n // 3], np.inf)
+    inputs = [
+        np.linspace(0.0, 2.0 * math.pi, n),  # endpoint=True
+        one_ulp,
+        grid + 0.5 * grid[1],
+        grid.reshape(2, -1),
+        np.linspace(0.0, 2.0 * math.pi, 2 * harmonics, endpoint=False),  # n <= 2H
+    ]
+    for phi in inputs:
+        assert _error(poly, phi) <= 2e-14 * poly.coefficient_norm()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -308,10 +366,45 @@ def test_extrema_property_against_refined_dense_sampling(poly: TrigPolynomial) -
     assert bottom - 1e-13 * scale <= lo <= bottom + 1e-14 * scale
 
 
+def test_a_flat_grid_extremum_is_kept_without_a_newton_step() -> None:
+    # f = -1.5 + 2 cos(phi) - 0.5 cos(2 phi) has f' = f'' = 0 exactly at its
+    # grid arg-max phi = 0, where a Newton step would divide by zero.
+    assert TrigPolynomial({0: -1.5, 1: 2.0, 2: -0.5}).extrema() == (0.0, -4.0)
+
+
 def test_pure_cosine_extrema_are_exact() -> None:
     hi, lo = cosine(0.75).extrema()
     assert hi == pytest.approx(0.75, abs=1e-13)
     assert lo == pytest.approx(-0.75, abs=1e-13)
+
+
+def _add_at_spectrum(cos_terms: dict, sin_terms: dict) -> np.ndarray:
+    """The spectrum summed into zeros by ``np.add.at``, trimmed of trailing
+    zero harmonics: the reference for the constructor."""
+    sin_terms = {j: v for j, v in sin_terms.items() if j != 0}
+    index = list(cos_terms) + list(sin_terms)
+    value = [complex(v, 0.0) for v in cos_terms.values()]
+    value += [complex(0.0, -v) for v in sin_terms.values()]
+    c = np.zeros(max(index, default=0) + 1, dtype=complex)
+    np.add.at(c, index, value)
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1 if nonzero.size else 1]
+
+
+@pytest.mark.parametrize(
+    "cos_terms, sin_terms",
+    [
+        ({1: 2.0}, {}), ({}, {1: -0.7}), ({1: 0.5}, {1: 0.25}), ({0: 0.4, 1: -1.1}, {1: 2.0}),
+        ({1: 0.0}, {}), ({1: -0.0}, {}), ({}, {1: 0.0}), ({}, {1: -0.0}),
+        ({1: -0.0}, {1: -0.0}), ({0: -0.0, 2: 1.0}, {2: -0.0}), ({1: -0.0}, {1: 3.0}),
+        ({}, {0: 123.0}), ({0: 1.5}, {0: -2.0, 1: 0.5}), ({0: -0.0}, {0: -0.0}),
+        ({0: 0.1, 2: 0.7, 5: 0.0}, {1: 0.2, 3: -0.4, 6: -0.0}),
+    ],
+)
+def test_spectra_equal_the_add_at_sum_bitwise(cos_terms: dict, sin_terms: dict) -> None:
+    spectrum = TrigPolynomial(cos_terms, sin_terms).spectrum
+    assert spectrum.dtype == np.complex128
+    assert spectrum.tobytes() == _add_at_spectrum(cos_terms, sin_terms).tobytes()
 
 
 def test_rejects_negative_harmonics() -> None:
