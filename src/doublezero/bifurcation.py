@@ -5,10 +5,10 @@ Every predicted bifurcation set is, to leading order, a straight line
 half-plane of ``nu1``.  This module turns splitting data (projected forcing
 extrema and orbit integrals) into those lines:
 
-* saddle-to-saddle connections persisting under forcing (four lines on
-  ``nu1 < 0``),
-* saddle-loop connections persisting under forcing (four lines on
-  ``nu1 > 0``),
+* saddle-to-saddle and saddle-loop connections persisting under forcing
+  (four lines each, on the ``nu1`` half-plane of the host's ``a``: ``nu1 <
+  0`` and ``nu1 > 0``), both from one emitter, ``_connection_curves``,
+  whose public names are `heteroclinic_curves` and `homoclinic_curves`,
 * saddle-node bifurcations of resonant subharmonics (two lines per orbit
   family, four for the sign-paired inside-loop family),
 * the stability verdict for the orbits born at those saddle-nodes,
@@ -36,7 +36,7 @@ from .melnikov import (
     j_integrals,
     separatrix_constants,
 )
-from .orbits import FamilyTag, resonant_modulus
+from .orbits import _ATLAS, PAIRED_TAGS, SEPARATRIX_TAGS, FamilyTag, resonant_modulus
 
 __all__ = [
     "CurveKind",
@@ -109,11 +109,6 @@ class BifurcationCurve:
         if (self.nu1_sign == 0) != math.isinf(self.slope):
             raise DomainError("only the vertical pitchfork line may have nu1_sign = 0")
 
-    def nu2_at(self, nu1: float) -> float:
-        if self.nu1_sign == 0:
-            raise DomainError("the vertical line has no graph nu2(nu1)")
-        return self.slope * nu1
-
     def as_record(self) -> dict:
         """Flat record with the serialization columns."""
         return {
@@ -151,44 +146,57 @@ def _check_sign(value: int, name: str) -> int:
 
 
 def family_half_plane(tag: FamilyTag) -> int:
-    """Sign of ``nu1`` on which a periodic family's predictions live."""
-    if tag in (FamilyTag.INSIDE_HET, FamilyTag.GLOBAL):
-        return -1
-    if tag in (FamilyTag.INSIDE_HOM, FamilyTag.OUTSIDE_HOM):
-        return 1
-    raise DomainError(f"family {tag.value!r} has no subharmonic half-plane")
+    """Sign of ``nu1`` on which a periodic family's predictions live: its host's ``a``."""
+    if tag in SEPARATRIX_TAGS:
+        raise DomainError(f"family {tag.value!r} has no subharmonic half-plane")
+    return int(_ATLAS[tag].a)
+
+
+#: Curve kind and branch labels (sign +1, then -1) of each connection pair.
+_CONNECTIONS = {FamilyTag.HET_PAIR: (CurveKind.HETEROCLINIC, "het-upper", "het-lower"),
+                FamilyTag.HOM_PAIR: (CurveKind.HOMOCLINIC, "hom-right", "hom-left")}
+
+
+def _connection_curves(
+    tag: FamilyTag, s2: int, delta_big: float, hhat: MelnikovProfile
+) -> list[BifurcationCurve]:
+    """Persistence lines of a connection pair, on the ``nu1`` half-plane of its host's ``a``.
+
+    For each connection the splitting function ``c1*nu_hat + c2*s2 ±
+    delta_big*h_hat`` crosses zero on a closed interval of ``nu_hat``, and
+    the parameter slope is ``a*nu_hat``; the interval's endpoints are the
+    lines emitted here, one labeled by the forcing projection's maximum and
+    one by its minimum.  Zero forcing collapses all four lines onto ``nu2 =
+    -a*s2*(c2/c1) nu1``, the unforced connection line.
+    """
+    s2 = _check_sign(s2, "s2")
+    delta_big = float(delta_big)
+    hhat.check_family(tag)
+    c1, c2 = separatrix_constants(tag)
+    plane = int(_ATLAS[tag].a)
+    kind, *branches = _CONNECTIONS[tag]
+    base = -plane * s2 * c2 / c1
+    coincident = hhat.hmax == hhat.hmin
+    note = "coincident pair (zero-splitting forcing)" if coincident else None
+    curves = []
+    for branch, sign in zip(branches, (1.0, -1.0)):
+        for extremum, value in (("max", hhat.hmax), ("min", hhat.hmin)):
+            curves.append(
+                BifurcationCurve(
+                    kind=kind,
+                    slope=base - plane * sign * delta_big * value / c1,
+                    nu1_sign=plane,
+                    label=CurveLabel(family=branch, extremum=extremum, note=note),
+                )
+            )
+    return curves
 
 
 def heteroclinic_curves(
     s2: int, delta_big: float, hhat: MelnikovProfile
 ) -> list[BifurcationCurve]:
-    """Persistence lines of the two saddle-to-saddle connections (``nu1 < 0``).
-
-    For each connection the splitting function crosses zero on a closed
-    interval of slopes; the interval's endpoints are the lines emitted here,
-    one labeled by the forcing projection's maximum and one by its minimum.
-    Zero forcing collapses each pair onto the unforced saddle-connection
-    line ``nu2 = (s2/5) nu1``.
-    """
-    s2 = _check_sign(s2, "s2")
-    delta_big = float(delta_big)
-    hhat.check_family(FamilyTag.HET_PAIR)
-    c1, c2 = separatrix_constants(FamilyTag.HET_PAIR)
-    base = s2 * c2 / c1  # = s2/5
-    coincident = hhat.hmax == hhat.hmin
-    note = "coincident pair (zero-splitting forcing)" if coincident else None
-    curves = []
-    for branch, sign in (("upper", 1.0), ("lower", -1.0)):
-        for extremum, value in (("max", hhat.hmax), ("min", hhat.hmin)):
-            curves.append(
-                BifurcationCurve(
-                    kind=CurveKind.HETEROCLINIC,
-                    slope=base + sign * delta_big * value / c1,
-                    nu1_sign=-1,
-                    label=CurveLabel(family=f"het-{branch}", extremum=extremum, note=note),
-                )
-            )
-    return curves
+    """Persistence lines of the two saddle-to-saddle connections (``nu1 < 0``)."""
+    return _connection_curves(FamilyTag.HET_PAIR, s2, delta_big, hhat)
 
 
 def homoclinic_curves(
@@ -196,30 +204,10 @@ def homoclinic_curves(
 ) -> list[BifurcationCurve]:
     """Persistence lines of the two saddle-loop connections (``nu1 > 0``).
 
-    Mirrors :func:`heteroclinic_curves` on the opposite half-plane: zero
-    forcing collapses all four lines onto ``nu2 = -(4 s2/5) nu1``, and a
-    symmetric forcing projection (``hmax = -hmin``) makes the two branch
+    A symmetric forcing projection (``hmax = -hmin``) makes the two branch
     pairs coincide as sets.
     """
-    s2 = _check_sign(s2, "s2")
-    delta_big = float(delta_big)
-    hhat.check_family(FamilyTag.HOM_PAIR)
-    c1, c2 = separatrix_constants(FamilyTag.HOM_PAIR)
-    base = -s2 * c2 / c1  # = -(4/5) s2
-    coincident = hhat.hmax == hhat.hmin
-    note = "coincident pair (zero-splitting forcing)" if coincident else None
-    curves = []
-    for branch, sign in (("right", 1.0), ("left", -1.0)):
-        for extremum, value in (("max", hhat.hmax), ("min", hhat.hmin)):
-            curves.append(
-                BifurcationCurve(
-                    kind=CurveKind.HOMOCLINIC,
-                    slope=base - sign * delta_big * value / c1,
-                    nu1_sign=1,
-                    label=CurveLabel(family=f"hom-{branch}", extremum=extremum, note=note),
-                )
-            )
-    return curves
+    return _connection_curves(FamilyTag.HOM_PAIR, s2, delta_big, hhat)
 
 
 def saddle_node_curves(
@@ -262,7 +250,7 @@ def saddle_node_curves(
         ]
 
     curves: list[BifurcationCurve] = []
-    if tag is FamilyTag.INSIDE_HOM:
+    if tag in PAIRED_TAGS:
         own_sign = hhatmn.family.sign if hhatmn.family is not None else 1
         for fam_sign in (own_sign, -own_sign):
             suffix = "right" if fam_sign > 0 else "left"
@@ -312,12 +300,9 @@ def predicted_curves(
     ``profile.k``), integrate the orbit, project with `h_hat_subharmonic`
     and emit the saddle-node lines.
     """
-    if family is FamilyTag.HET_PAIR:
+    if family in SEPARATRIX_TAGS:
         profile = h_hat(forcing, family, omega_hat)
-        return heteroclinic_curves(s2, delta_big, profile), profile
-    if family is FamilyTag.HOM_PAIR:
-        profile = h_hat(forcing, family, omega_hat)
-        return homoclinic_curves(s2, delta_big, profile), profile
+        return _connection_curves(family, s2, delta_big, profile), profile
     k = resonant_modulus(family, m, n, omega_hat)
     j = j_integrals(family, k, n)
     profile = h_hat_subharmonic(forcing, family, k, m, n, omega_hat)

@@ -498,7 +498,9 @@ def cmd_manifolds(ns: argparse.Namespace) -> int:
             )
         branches = [by_value[name] for name in names]
 
-    saddle = find_subharmonic(flow, ns.m, guess, tol=ns.tol)
+    # Connection saddles have full-period multipliers in the thousands, where
+    # single shooting from a crude guess escapes; eight short legs do not.
+    saddle = find_subharmonic(flow, ns.m, guess, tol=ns.tol, segments=8)
     traces = trace_manifolds(
         flow, saddle, ns.arc, ns.count,
         box=ns.box, planes=planes, max_iterates=ns.max_iterates,

@@ -843,7 +843,6 @@ class ManifoldTrace:
 
     branch: ManifoldBranch
     points: tuple[tuple[float, ...], ...]
-    arc_params: tuple[float, ...]
     #: (iterate, chain) bookkeeping per entry of ``points``; iterate 0 are
     #: the seeds.  Sorting by iterate then chain orders points by their
     #: leading-order arc position ``offset[chain] * multiplier**iterate``.
@@ -977,7 +976,6 @@ def trace_manifolds(
         return ManifoldTrace(
             branch=branch,
             points=tuple(pts),
-            arc_params=tuple(float(o) for o in offsets),
             indices=tuple(idx),
             plane_cuts=tuple((c, tuple(rows)) for c, rows in cuts.items()),
             path=tuple(pt for chain in chain_paths for pt in chain),

@@ -32,6 +32,7 @@ from .elliptic import EllipticModulus, complete_E, complete_K
 from .errors import DomainError, ResonanceViolation
 from .fourier import TrigPolynomial
 from .orbits import (
+    _ATLAS,
     FamilyKind,
     FamilyTag,
     _as_kind,
@@ -356,15 +357,15 @@ def _bracket_series_coeffs(
 #: Polynomial factors (ascending in m) multiplying E and K in each bracket.
 _BRACKET_POLYS: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {
     # (m + 1) E - (1 - m) K
-    "inside_het_j1": ((1.0, 1.0), (-1.0, 1.0)),
+    "sn_j1": ((1.0, 1.0), (-1.0, 1.0)),
     # K - E
-    "inside_het_j3": ((-1.0,), (1.0,)),
+    "sn_j3": ((-1.0,), (1.0,)),
     # (2m - 1) E + (1 - m) K
-    "rising_j1": ((-1.0, 2.0), (1.0, -1.0)),
+    "cn_j1": ((-1.0, 2.0), (1.0, -1.0)),
     # E - (1 - m) K
-    "rising_j3": ((1.0,), (-1.0, 1.0)),
+    "cn_j3": ((1.0,), (-1.0, 1.0)),
     # (2 - m) E - 2 (1 - m) K
-    "inside_hom_j1": ((2.0, -1.0), (-2.0, 2.0)),
+    "dn_j1": ((2.0, -1.0), (-2.0, 2.0)),
     # 2 (m^2 - m + 1) E - (1 - m)(2 - m) K
     "j2": ((2.0, -2.0, 2.0), (-2.0, 3.0, -1.0)),
 }
@@ -396,12 +397,22 @@ def _bracket(name: str, m: float, e: float, big_k: float) -> float:
     return 0.5 * math.pi * acc
 
 
+#: Brackets ``(B1, B3)`` of ``J1`` and ``J3`` by the orbit's Jacobi profile
+#: (every ``J2`` bracket is ``"j2"``); ``None`` stands for the plain ``E``.
+_J_BRACKETS = {"sn": ("sn_j1", "sn_j3"), "cn": ("cn_j1", "cn_j3"), "dn": ("dn_j1", None)}
+
+
 def j_integrals(
     family: FamilyKind | FamilyTag,
     k: EllipticModulus | float,
     n: int,
 ) -> JIntegrals:
-    """Closed-form orbit integrals ``J1, J2, J3`` over ``n`` periods."""
+    """Closed-form orbit integrals ``J1, J2, J3`` over ``n`` periods.
+
+    With the family's time scale ``(c, s, q)`` and ``C = c + s*k**2``:
+    ``J1 = 2q n/(3 C**1.5) B1``, ``J2 = 4q n/(15 C**2.5) B2`` and ``J3 =
+    2q n/sqrt(C) B3``, with the E/K brackets of the orbit's profile.
+    """
     fam = _as_kind(family)
     if not fam.is_periodic:
         raise DomainError(f"j_integrals needs a periodic family, got {fam.tag.value!r}")
@@ -415,27 +426,17 @@ def j_integrals(
     k2 = kv * kv
     e = complete_E(kv)
     big_k = complete_K(kv)
-
-    if fam.tag is FamilyTag.INSIDE_HET:
-        c = k2 + 1.0
-        j1 = 8.0 * n / (3.0 * c**1.5) * _bracket("inside_het_j1", k2, e, big_k)
-        j2 = 16.0 * n / (15.0 * c**2.5) * _bracket("j2", k2, e, big_k)
-        j3 = 8.0 * n / math.sqrt(c) * _bracket("inside_het_j3", k2, e, big_k)
-    elif fam.tag is FamilyTag.GLOBAL:
-        c = 1.0 - 2.0 * k2
-        j1 = 8.0 * n / (3.0 * c**1.5) * _bracket("rising_j1", k2, e, big_k)
-        j2 = 16.0 * n / (15.0 * c**2.5) * _bracket("j2", k2, e, big_k)
-        j3 = 8.0 * n / math.sqrt(c) * _bracket("rising_j3", k2, e, big_k)
-    elif fam.tag is FamilyTag.INSIDE_HOM:
-        c = 2.0 - k2
-        j1 = 4.0 * n / (3.0 * c**1.5) * _bracket("inside_hom_j1", k2, e, big_k)
-        j2 = 8.0 * n / (15.0 * c**2.5) * _bracket("j2", k2, e, big_k)
-        j3 = 4.0 * n * e / math.sqrt(c)
-    else:  # OUTSIDE_HOM
-        c = 2.0 * k2 - 1.0
-        j1 = 8.0 * n / (3.0 * c**1.5) * _bracket("rising_j1", k2, e, big_k)
-        j2 = 16.0 * n / (15.0 * c**2.5) * _bracket("j2", k2, e, big_k)
-        j3 = 8.0 * n / math.sqrt(c) * _bracket("rising_j3", k2, e, big_k)
+    row = _ATLAS[fam.tag]
+    c0, s, quarters = row.time_scale
+    c = c0 + s * k2
+    scale = 2.0 * quarters * n
+    b1, b3 = _J_BRACKETS[row.profile]
+    j1 = scale / (3.0 * c**1.5) * _bracket(b1, k2, e, big_k)
+    j2 = 2.0 * scale / (15.0 * c**2.5) * _bracket("j2", k2, e, big_k)
+    if b3 is None:
+        j3 = scale * e / math.sqrt(c)  # product before root: the other order moves the last bit
+    else:
+        j3 = scale / math.sqrt(c) * _bracket(b3, k2, e, big_k)
 
     return JIntegrals(j1=j1, j2=j2, j3=j3, family=fam, k=modulus, n=n)
 

@@ -13,6 +13,13 @@ the closed-form period).
 
 Family atlas
 ------------
+One private table, ``_ATLAS``, holds each family's facts, and every module
+reads them from it: the host ``(a, b)``, whether the family is a ``±``
+pair and, for a periodic family, its open modulus range, Jacobi profile
+(``sn``, ``cn`` or ``dn``) and time scale ``(c, s, quarters)``: the orbit
+is the profile of ``t / sqrt(c + s*k**2)`` and its period is ``quarters *
+K(k) * sqrt(c + s*k**2)``.
+
 ``HET_PAIR``
     Pair of saddle-to-saddle connections of ``(a, b) = (-1, +1)`` joining
     the saddles at ``zeta1 = -1`` and ``zeta1 = +1``.
@@ -38,6 +45,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -80,16 +88,34 @@ class FamilyTag(enum.Enum):
     OUTSIDE_HOM = "outside-hom"
 
 
+class _Family(NamedTuple):
+    """One row of the family atlas (see the module docstring)."""
+
+    a: float
+    b: float
+    paired: bool
+    k_range: tuple[float, float] | None = None
+    profile: str | None = None
+    time_scale: tuple[float, float, float] | None = None
+
+
+_ATLAS = {
+    FamilyTag.HET_PAIR: _Family(-1.0, 1.0, True),
+    FamilyTag.INSIDE_HET: _Family(-1.0, 1.0, False, (0.0, 1.0), "sn", (1.0, 1.0, 4.0)),
+    FamilyTag.GLOBAL: _Family(-1.0, -1.0, False, (0.0, 1.0 / _SQRT2), "cn", (1.0, -2.0, 4.0)),
+    FamilyTag.HOM_PAIR: _Family(1.0, -1.0, True),
+    FamilyTag.INSIDE_HOM: _Family(1.0, -1.0, True, (0.0, 1.0), "dn", (2.0, -1.0, 2.0)),
+    FamilyTag.OUTSIDE_HOM: _Family(1.0, -1.0, False, (1.0 / _SQRT2, 1.0), "cn", (-1.0, 2.0, 4.0)),
+}
+
 #: Families that are continua of periodic orbits parameterized by a modulus.
-PERIODIC_TAGS = frozenset(
-    {FamilyTag.INSIDE_HET, FamilyTag.GLOBAL, FamilyTag.INSIDE_HOM, FamilyTag.OUTSIDE_HOM}
-)
+PERIODIC_TAGS = frozenset(tag for tag, row in _ATLAS.items() if row.profile is not None)
 
 #: Families that are isolated saddle connections (infinite period).
-SEPARATRIX_TAGS = frozenset({FamilyTag.HET_PAIR, FamilyTag.HOM_PAIR})
+SEPARATRIX_TAGS = frozenset(_ATLAS) - PERIODIC_TAGS
 
 #: Families that occur as symmetric (+/-) pairs.
-PAIRED_TAGS = frozenset({FamilyTag.HET_PAIR, FamilyTag.HOM_PAIR, FamilyTag.INSIDE_HOM})
+PAIRED_TAGS = frozenset(tag for tag, row in _ATLAS.items() if row.paired)
 
 
 @dataclass(frozen=True)
@@ -135,9 +161,6 @@ class OrbitPoint:
     zeta1: float | np.ndarray
     zeta2: float | np.ndarray
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.zeta1, self.zeta2])
-
 
 def _as_kind(family: FamilyKind | FamilyTag) -> FamilyKind:
     if isinstance(family, FamilyTag):
@@ -147,12 +170,8 @@ def _as_kind(family: FamilyKind | FamilyTag) -> FamilyKind:
 
 def cubic_coefficients(family: FamilyKind | FamilyTag) -> tuple[float, float]:
     """Coefficients ``(a, b)`` of the host system ``zeta1'' = a*zeta1 + b*zeta1**3``."""
-    tag = _as_kind(family).tag
-    if tag in (FamilyTag.HET_PAIR, FamilyTag.INSIDE_HET):
-        return (-1.0, 1.0)
-    if tag is FamilyTag.GLOBAL:
-        return (-1.0, -1.0)
-    return (1.0, -1.0)
+    row = _ATLAS[_as_kind(family).tag]
+    return (row.a, row.b)
 
 
 def unperturbed_rhs(family: FamilyKind | FamilyTag, state: np.ndarray) -> np.ndarray:
@@ -165,31 +184,15 @@ def unperturbed_rhs(family: FamilyKind | FamilyTag, state: np.ndarray) -> np.nda
 def modulus_range(family: FamilyKind | FamilyTag) -> tuple[float, float]:
     """Open admissible modulus interval ``(k_lo, k_hi)`` of a periodic family."""
     tag = _as_kind(family).tag
-    if tag is FamilyTag.INSIDE_HET:
-        return (0.0, 1.0)
-    if tag is FamilyTag.GLOBAL:
-        return (0.0, 1.0 / _SQRT2)
-    if tag is FamilyTag.INSIDE_HOM:
-        return (0.0, 1.0)
-    if tag is FamilyTag.OUTSIDE_HOM:
-        return (1.0 / _SQRT2, 1.0)
-    raise DomainError(f"{tag.value!r} is a separatrix family, not parameterized by a modulus")
-
-
-#: Per periodic family ``(c, s, quarters)``: the orbit at time ``t`` is a
-#: Jacobi profile of ``u = t / sqrt(c + s*k**2)``, and its period is
-#: ``quarters * K(k) * sqrt(c + s*k**2)``.
-_TIME_SCALE = {
-    FamilyTag.INSIDE_HET: (1.0, 1.0, 4.0),
-    FamilyTag.GLOBAL: (1.0, -2.0, 4.0),
-    FamilyTag.INSIDE_HOM: (2.0, -1.0, 2.0),
-    FamilyTag.OUTSIDE_HOM: (-1.0, 2.0, 4.0),
-}
+    k_range = _ATLAS[tag].k_range
+    if k_range is None:
+        raise DomainError(f"{tag.value!r} is a separatrix family, not parameterized by a modulus")
+    return k_range
 
 
 def _period(tag: FamilyTag, k: float) -> float:
     """``quarters * K(k) * sqrt(c + s*k**2)`` of a periodic family, ``k`` unchecked."""
-    c, s, quarters = _TIME_SCALE[tag]
+    c, s, quarters = _ATLAS[tag].time_scale
     return quarters * complete_K(k) * math.sqrt(c + s * k * k)
 
 
@@ -258,16 +261,17 @@ def evaluate(
         if k is None:
             raise DomainError(f"periodic family {fam.tag.value!r} needs a modulus")
         kv = _checked_modulus(fam, k)
-        c, s_k2, _ = _TIME_SCALE[fam.tag]
+        row = _ATLAS[fam.tag]
+        c, s_k2, _ = row.time_scale
         scale = math.sqrt(c + s_k2 * kv * kv)
         sn, cn, dn = jacobi_sn_cn_dn(t / scale, kv)
-        if fam.tag is FamilyTag.INSIDE_HET:
+        if row.profile == "sn":
             amp = _SQRT2 * kv / scale
             z1, z2 = amp * sn, amp / scale * cn * dn
-        elif fam.tag is FamilyTag.INSIDE_HOM:
+        elif row.profile == "dn":
             amp = s * _SQRT2 / scale
             z1, z2 = amp * dn, -amp / scale * kv * kv * sn * cn
-        else:  # GLOBAL and OUTSIDE_HOM share the cn profile
+        else:  # cn
             amp = _SQRT2 * kv / scale
             z1, z2 = amp * cn, -amp / scale * sn * dn
 
@@ -293,12 +297,13 @@ def _velocity_spectrum(family: FamilyKind, k: float, count: int) -> np.ndarray:
     p = np.arange(count, dtype=float)
     amp = _SQRT2 * w0 * w0 * p
     coeffs = np.zeros(count, dtype=complex)
+    profile = _ATLAS[family.tag].profile
     with np.errstate(over="ignore"):
-        if family.tag is FamilyTag.INSIDE_HOM:
+        if profile == "dn":
             coeffs.imag[1:] = family.sign * amp[1:] / (2.0 * np.cosh(p[1:] * r))
-        elif family.tag is FamilyTag.INSIDE_HET:
+        elif profile == "sn":
             coeffs.real[1::2] = amp[1::2] / np.sinh(0.5 * p[1::2] * r)
-        else:  # GLOBAL and OUTSIDE_HOM share the cn profile
+        else:  # cn
             coeffs.imag[1::2] = amp[1::2] / np.cosh(0.5 * p[1::2] * r)
     return coeffs
 

@@ -46,7 +46,7 @@ from .normalform import (
     scale,
     unfolding_map,
 )
-from .orbits import FamilyTag
+from .orbits import _ATLAS, FamilyTag, cubic_coefficients
 
 __all__ = [
     "Theta0",
@@ -287,23 +287,11 @@ def example_theta_pi(
     )
 
 
-#: Configuration each orbit family's prediction belongs to.
+#: Configuration each orbit family's prediction belongs to: its host's
+#: cubic coefficient ``b`` is the normal form's ``s1 = cos(theta0)``.
 FAMILY_THETA0: dict[FamilyTag, Theta0] = {
-    FamilyTag.HET_PAIR: Theta0.ZERO,
-    FamilyTag.INSIDE_HET: Theta0.ZERO,
-    FamilyTag.GLOBAL: Theta0.PI,
-    FamilyTag.HOM_PAIR: Theta0.PI,
-    FamilyTag.INSIDE_HOM: Theta0.PI,
-    FamilyTag.OUTSIDE_HOM: Theta0.PI,
+    tag: Theta0.ZERO if cubic_coefficients(tag)[1] > 0.0 else Theta0.PI for tag in FamilyTag
 }
-
-#: Families whose m:1 projection of the first-harmonic forcing vanishes for
-#: even m (their orbit velocities have odd harmonics only).  The rule is
-#: stated here rather than read off a zero profile: an allowed m can also
-#: project to an exact zero once the projection drops its rounding-level parts.
-_ODD_M_FAMILIES = frozenset(
-    {FamilyTag.INSIDE_HET, FamilyTag.GLOBAL, FamilyTag.OUTSIDE_HOM}
-)
 
 #: Families whose printed subharmonic displays carry a factor m that the
 #: general projection does not; their curves project m times the forcing.
@@ -429,7 +417,11 @@ def prediction_curves(
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     loc = codim2_locus(p)
-    if family in _ODD_M_FAMILIES and m % 2 == 0:
+    # sn and cn velocities have odd harmonics only, so the m:1 projection of
+    # the first-harmonic forcing vanishes for even m.  This is not read off
+    # a zero profile: an allowed m can also project to an exact zero once
+    # the projection drops its rounding-level parts.
+    if m % 2 == 0 and _ATLAS[family].profile in ("sn", "cn"):
         raise ParityError(
             f"family {family.value!r} has a nonzero projection only for odd m, got m={m}"
         )

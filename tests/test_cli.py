@@ -90,6 +90,19 @@ def test_a_non_positive_newton_tolerance_exits_2(tmp_path, capsys) -> None:
     assert "tol must be positive" in capsys.readouterr().err
 
 
+def test_manifolds_finds_the_connection_saddle_at_its_defaults(tmp_path) -> None:
+    # The saddle's full-period multiplier is about 8,400: single shooting from
+    # the guess broke down in its first integration and exited 3.
+    out = tmp_path / "manifolds.csv"
+    args = ["manifolds", "--guess", "1,0", "--count", "8", "--max-iterates", "2"]
+    assert cli.main(args + ["-o", str(out)]) == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows[0].startswith("branch,kind,iterate")
+    assert {row.split(",")[0] for row in rows[1:]} == {
+        "unstable-right", "unstable-left", "stable-right", "stable-left",
+    }
+
+
 @pytest.mark.parametrize("option", ["--abs-tol", "--rel-tol"])
 def test_a_nan_tolerance_exits_2_before_integrating(option: str, tmp_path, monkeypatch,
                                                     capsys) -> None:

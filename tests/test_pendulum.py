@@ -14,7 +14,15 @@ from doublezero.errors import DegeneracyError, DomainError, ParityError
 from doublezero.fourier import TrigPolynomial, cosine
 from doublezero.melnikov import MelnikovProfile, j_integrals
 from doublezero.normalform import ScalingBranch, unfolding_map
-from doublezero.orbits import FamilyKind, FamilyTag, resonant_modulus
+from doublezero.orbits import (
+    PERIODIC_TAGS,
+    FamilyKind,
+    FamilyTag,
+    _velocity_spectrum,
+    modulus_range,
+    period,
+    resonant_modulus,
+)
 from doublezero.pendulum import (
     FAMILY_THETA0,
     Codim2Point,
@@ -391,6 +399,21 @@ def test_family_configuration_map():
     for tag in (FamilyTag.GLOBAL, FamilyTag.HOM_PAIR,
                 FamilyTag.INSIDE_HOM, FamilyTag.OUTSIDE_HOM):
         assert FAMILY_THETA0[tag] is Theta0.PI
+
+
+@pytest.mark.parametrize("family", sorted(PERIODIC_TAGS, key=lambda t: t.value))
+def test_the_parity_guard_follows_the_velocity_spectrum(family):
+    """m = 2 is refused exactly when the orbit velocity has no even harmonic."""
+    lo, hi = modulus_range(family)
+    k = 0.5 * (lo + hi)
+    odd_only = not np.any(_velocity_spectrum(FamilyKind(family), k, 9)[2::2])
+    # The 2:1 resonance sits at the mid-range modulus.
+    omega_hat = 4.0 * math.pi / period(family, k)
+    if odd_only:
+        with pytest.raises(ParityError):
+            _gain_slopes(family, 2, omega_hat)
+    else:
+        assert _gain_slopes(family, 2, omega_hat)[1]
 
 
 def test_prediction_curves_configuration_mismatch():
